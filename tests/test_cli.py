@@ -1,13 +1,27 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from structiou.cli import main
+from structiou.oracle import random_timed_tree
+from structiou.treebank import (
+    BoundaryRow,
+    BoundaryTable,
+    leaves,
+    serialize_bracketed,
+    write_boundary_file,
+)
 
 GOLD_TREE = "(NP (PRP Your) (NN turn))\n"
 PRED_TREE = "(VP (VBP uh) (NP (PRP Your) (NN turn)))\n"
 GOLD_BOUNDS = "Your\t2.56\t2.72\nturn\t2.72\t3.01\n"
 PRED_BOUNDS = "uh\t2.55\t2.56\nYour\t2.56\t2.72\nturn\t2.72\t3.01\n"
+GOLDEN_EVAL_SHA256 = {
+    "--labeled": "e2617bde1cbb1bffa38e8c7d7ccf4cdec7ae09dd94c9bcbe4edc7daa2be81c6b",
+    "--unlabeled": "8bbe02a6182d47b9dc3fe28ba514a9351a9e5744488db39bb7e5a4d236e6facd",
+}
 
 
 @pytest.fixture
@@ -109,6 +123,53 @@ class TestEval:
             "eval", "--gold", str(bad), "--pred", str(bad), "--even",
         ])
         assert code == 2
+
+
+    def test_golden_digest(self, tmp_path):
+        """Byte-identical TSV on a seeded corpus, in both match modes.
+
+        The digests were recorded before the solver moved to postorder
+        arrays; any change to scores, rounding or layout shows here.
+        """
+        rng = np.random.default_rng(2024)
+        files = {}
+        for role in ("gold", "pred"):
+            trees = [random_timed_tree(rng, 20) for _ in range(24)]
+            if role == "pred":
+                # every third sentence is predicted exactly
+                trees[::3] = golds[::3]
+            else:
+                golds = trees
+            files[role] = tmp_path / f"{role}.trees"
+            files[role].write_text(
+                "".join(serialize_bracketed(t) + "\n" for t in trees),
+                encoding="utf-8",
+            )
+            tables = [
+                BoundaryTable(tuple(
+                    BoundaryRow(leaf.word, float(leaf.start), float(leaf.end))
+                    for leaf in leaves(t.root)
+                ))
+                for t in trees
+            ]
+            files[f"{role}_bounds"] = tmp_path / f"{role}.bounds"
+            with open(files[f"{role}_bounds"], "w", encoding="utf-8") as f:
+                write_boundary_file(tables, f)
+        digests = {}
+        for mode in ("--labeled", "--unlabeled"):
+            out = tmp_path / f"{mode[2:]}.tsv"
+            code = main([
+                "eval",
+                "--gold", str(files["gold"]),
+                "--pred", str(files["pred"]),
+                "--gold-bounds", str(files["gold_bounds"]),
+                "--pred-bounds", str(files["pred_bounds"]),
+                mode,
+                "--out", str(out),
+            ])
+            assert code == 0
+            digests[mode] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == GOLDEN_EVAL_SHA256
 
 
 class TestParseval:
