@@ -1,14 +1,6 @@
 """Struct-IoU: similarity between constituency parse trees over time intervals."""
 
-from .align import (
-    Alignment,
-    MatchMode,
-    PairSolver,
-    TreeIndex,
-    attach_dummy_roots,
-    conflicted,
-    max_weight_alignment,
-)
+from .align import Alignment, MatchMode, PairSolver, max_weight_alignment
 from .ambiguity import (
     AmbiguityReport,
     ambiguity_report,
@@ -18,7 +10,13 @@ from .ambiguity import (
 )
 from .intervals import OpenInterval, intersection_size, iou, length, union_size
 from .metric import CorpusScore, SentenceScore, struct_iou_corpus, struct_iou_sentence
-from .oracle import OracleVariant, oracle_alignment, random_timed_tree
+from .oracle import (
+    OracleVariant,
+    TreeIndex,
+    conflicted,
+    oracle_alignment,
+    random_timed_tree,
+)
 from .parseval import BracketSpan, ParsevalScore, bracket_spans, parseval_f1
 from .perturb import (
     PerturbSpec,

@@ -9,34 +9,39 @@ value of aligning two subtrees with their roots matched is the root pair
 IoU plus the best pairing of two equal-length, left-to-right ordered
 sequences of pairwise-disjoint descendants.
 
-That inner maximization is solved per subtree pair with a prefix-maximum
-dynamic program over descendants sorted by right endpoint: appending a
-descendant pair is legal exactly when every previously chosen descendant
-ends at or before the new one's start on both sides, which makes the set
-of legal predecessors a prefix of the sorted order. The whole table is
-evaluated bottom-up over subtree pairs, vectorized over the second tree's
-nodes. Total cost is O(n^2 m^2) for trees of n and m nodes.
+Nodes are numbered in postorder, and ``first[p]`` is the index of p's
+first descendant (p itself for a leaf), so p's strict descendants are
+exactly ``first[p] .. p-1`` (Zhang & Shasha's leftmost-descendant
+indexing). Among them, the nodes that end before a descendant u starts
+are ``first[p] .. first[u]-1``: the legal predecessors of u in a
+disjoint sequence always form a prefix, of length ``first[u] - first[p]``.
+That turns the inner maximization into a prefix-maximum dynamic program
+over two postorder ranges, filled by one routine (``_table``) for three
+callers:
 
-Matched pairs are recovered afterwards by re-walking small scalar tables
-only along the optimal path.
+* the forward pass, bottom-up over the first tree's nodes and vectorized
+  over all of the second tree's nodes;
+* the top level, a virtual root at index n with ``first = 0`` on each
+  side, whose table value is the objective;
+* recovery, which re-fills the table of each matched pair and walks it
+  back to find the pairs below.
+
+Total cost is O(n^2 m^2) for trees of n and m nodes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .intervals import OpenInterval
-from .treebank import DUMMY_LABEL, ParseTree, TreeNode, iter_nodes
+from .treebank import ParseTree, TreeNode
 
 __all__ = [
     "MatchMode",
     "Alignment",
-    "TreeIndex",
-    "conflicted",
-    "attach_dummy_roots",
     "PairSolver",
     "max_weight_alignment",
 ]
@@ -57,135 +62,50 @@ class MatchMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Alignment:
-    """Matched node pairs plus the total IoU weight they realize."""
+    """Matched node pairs plus the total IoU weight they realize.
+
+    The pairs are listed in postorder of their first-tree node: every
+    pair comes after the pairs matched below it, and left-to-right
+    between disjoint subtrees.
+    """
 
     pairs: tuple[tuple[TreeNode, TreeNode], ...]
     objective: float
 
 
-class TreeIndex:
-    """Preorder indexing of a tree with O(1) ancestry queries."""
+class _TreeData:
+    """A tree's nodes in postorder, with a virtual root at index n."""
 
     def __init__(self, tree: ParseTree):
-        self.tree = tree
-        self.nodes: list[TreeNode] = list(iter_nodes(tree.root))
-        self.index = {id(n): i for i, n in enumerate(self.nodes)}
-        n = len(self.nodes)
-        # subtree_end[i]: one past the last preorder index inside i's subtree
-        self.subtree_end = np.empty(n, dtype=np.int64)
+        self.nodes: list[TreeNode] = []
+        first: list[int] = []
 
-        def walk(node: TreeNode) -> int:
-            i = self.index[id(node)]
-            end = i + 1
-            for c in node.children:
-                end = walk(c)
-            self.subtree_end[i] = end
-            return end
+        def walk(node: TreeNode):
+            lo = len(self.nodes)
+            for child in node.children:
+                walk(child)
+            first.append(lo)
+            self.nodes.append(node)
 
         walk(tree.root)
+        self.n = len(self.nodes)
+        self.first = np.array(first + [0], dtype=np.int64)
         self.starts = np.array([m.start for m in self.nodes], dtype=float)
         self.ends = np.array([m.end for m in self.nodes], dtype=float)
-
-    def preorder(self, node: TreeNode) -> int:
-        return self.index[id(node)]
-
-    def is_ancestor(self, p: TreeNode, q: TreeNode) -> bool:
-        """True iff p is a strict ancestor of q."""
-        i, j = self.index[id(p)], self.index[id(q)]
-        return i < j < self.subtree_end[i]
-
-    def ancestor_matrix(self) -> np.ndarray:
-        """anc[i, j] is True iff node i is a strict ancestor of node j."""
-        n = len(self.nodes)
-        idx = np.arange(n)
-        return (idx[:, None] < idx[None, :]) & (
-            idx[None, :] < self.subtree_end[:, None]
-        )
+        self.labels = [m.label for m in self.nodes]
 
 
-def conflicted(
-    pair1: tuple[TreeNode, TreeNode],
-    pair2: tuple[TreeNode, TreeNode],
-    index1: TreeIndex,
-    index2: TreeIndex,
-) -> bool:
-    """Whether two matchings disagree on an ancestor/descendant relation.
+class _Columns(NamedTuple):
+    """Gather indices for the descendants of each second-tree node in qs.
 
-    Given matchings (p1, q1) and (p2, q2) over the same two trees, the
-    pair is conflicted when p1's ancestor (or descendant) relation to p2
-    differs from q1's relation to q2.
+    Row c lists the descendants of qs[c] (``desc``), padded with node 0
+    up to the widest row, and each one's prefix of legal predecessors as
+    a flat index into a (len(qs), width + 1) table row (``pred``).
     """
-    p1, q1 = pair1
-    p2, q2 = pair2
-    if index1.is_ancestor(p1, p2) != index2.is_ancestor(q1, q2):
-        return True
-    if index1.is_ancestor(p2, p1) != index2.is_ancestor(q2, q1):
-        return True
-    return False
 
-
-def attach_dummy_roots(t1: ParseTree, t2: ParseTree) -> tuple[ParseTree, ParseTree]:
-    """Wrap both trees under fresh roots spanning the two trees' joint hull.
-
-    The two added roots carry the reserved label so they match each other
-    in labeled mode, and their shared interval makes their IoU exactly 1.
-    """
-    lo = min(t1.root.start, t2.root.start)
-    hi = max(t1.root.end, t2.root.end)
-    hull = OpenInterval(lo, hi)
-    return (
-        ParseTree(TreeNode(DUMMY_LABEL, hull, children=(t1.root,))),
-        ParseTree(TreeNode(DUMMY_LABEL, hull, children=(t2.root,))),
-    )
-
-
-class _TreeData:
-    """Per-tree tables shared by every solve involving the tree."""
-
-    def __init__(self, tree: ParseTree):
-        self.index = TreeIndex(tree)
-        nodes = self.index.nodes
-        n = len(nodes)
-        self.n = n
-        self.starts = self.index.starts
-        self.ends = self.index.ends
-        self.labels = [m.label for m in nodes]
-        sub_end = self.index.subtree_end
-
-        # Postorder: every strict descendant precedes its ancestors.
-        order = sorted(range(n), key=lambda i: (sub_end[i], -i))
-        self.postorder = order
-
-        # Per node: strict descendants sorted by (end, start), plus the
-        # prefix count of descendants whose end does not exceed each
-        # element's start (the legal predecessors in a disjoint sequence).
-        self.desc: list[np.ndarray] = []
-        self.pred: list[np.ndarray] = []
-        for i in range(n):
-            ids, preds = self._sort_and_pred(np.arange(i + 1, sub_end[i]))
-            self.desc.append(ids)
-            self.pred.append(preds)
-        # Top level: all nodes are candidates under a virtual root.
-        self.all_sorted, self.all_pred = self._sort_and_pred(np.arange(n))
-        self.max_desc = max((d.size for d in self.desc), default=0)
-
-    def _sort_and_pred(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if ids.size == 0:
-            return ids, np.empty(0, dtype=np.int64)
-        ends = self.ends[ids]
-        starts = self.starts[ids]
-        order = np.lexsort((ids, starts, ends))
-        ids = ids[order]
-        preds = np.searchsorted(ends[order], starts[order], side="right")
-        return ids, preds
-
-
-def _tree_data(tree: ParseTree) -> _TreeData:
-    data = getattr(tree, "_align_data", None)
-    if data is None:
-        data = _TreeData(tree)
-        tree._align_data = data
-    return data
+    desc: np.ndarray
+    pred: np.ndarray
+    width: np.ndarray
 
 
 class PairSolver:
@@ -198,11 +118,9 @@ class PairSolver:
 
     def __init__(self, t1: ParseTree, t2: ParseTree, mode: MatchMode | str):
         self.mode = MatchMode.coerce(mode)
-        self.d1 = _tree_data(t1)
-        self.d2 = _tree_data(t2)
+        self.d1 = _TreeData(t1)
+        self.d2 = _TreeData(t2)
         self._solve()
-
-    # -- forward pass -------------------------------------------------
 
     def _solve(self):
         d1, d2 = self.d1, self.d2
@@ -214,7 +132,7 @@ class PairSolver:
         np.clip(inter, 0.0, None, out=inter)
         len1 = (d1.ends - d1.starts)[:, None]
         len2 = (d2.ends - d2.starts)[None, :]
-        self.weights = inter / (len1 + len2 - inter)
+        weights = inter / (len1 + len2 - inter)
 
         if self.mode is MatchMode.LABELED:
             lab2 = {}
@@ -224,60 +142,47 @@ class PairSolver:
         else:
             allowed = np.ones((n1, n2), dtype=bool)
 
-        # Padded descendant tables for the second tree.
-        maxd2 = max(d2.max_desc, 1)
-        desc2_pad = np.zeros((n2, maxd2), dtype=np.int64)
-        pred2_pad = np.zeros((n2, maxd2), dtype=np.int64)
-        len2s = np.empty(n2, dtype=np.int64)
-        for q in range(n2):
-            k = d2.desc[q].size
-            len2s[q] = k
-            if k:
-                desc2_pad[q, :k] = d2.desc[q]
-                pred2_pad[q, :k] = d2.pred[q]
+        # F[p, q]: best weight of p's and q's subtrees with p matched to q.
+        self.F = F = np.empty((n1, n2))
+        qs = np.arange(n2)
+        cols = self._columns(qs)
+        for p in range(n1):
+            seq_best = self._table(p, cols)[-1, qs, cols.width]
+            F[p] = np.where(allowed[p], weights[p] + seq_best, NEG)
 
-        F = np.full((n1, n2), NEG)
-        qrange = np.arange(n2)
-        max_rows = max(d1.max_desc, 1)
-        buf = np.empty((max_rows + 1, n2, maxd2 + 1))
+        top = self._table(n1, self._columns(np.array([n2])))
+        self.objective = float(top[-1, 0, -1])
 
-        for p in d1.postorder:
-            ids = d1.desc[p]
-            L1 = ids.size
-            if L1 == 0:
-                seq_best = np.zeros(n2)
-            else:
-                G = buf[: L1 + 1]
-                G[0] = 0.0
-                preds = d1.pred[p]
-                for i in range(1, L1 + 1):
-                    u = ids[i - 1]
-                    cand = F[u][desc2_pad] + np.take_along_axis(
-                        G[preds[i - 1]], pred2_pad, axis=1
-                    )
-                    row = np.maximum(G[i - 1][:, 1:], cand)
-                    np.maximum.accumulate(row, axis=1, out=row)
-                    G[i, :, 1:] = row
-                    G[i, :, 0] = 0.0
-                seq_best = G[L1][qrange, len2s]
-            F[p] = np.where(allowed[p], self.weights[p] + seq_best, NEG)
+    def _columns(self, qs: np.ndarray) -> _Columns:
+        first = self.d2.first
+        lo = first[qs]
+        width = qs - lo
+        j = np.arange(int(width.max()))
+        inside = j < width[:, None]
+        desc = np.where(inside, lo[:, None] + j, 0)
+        pred = np.where(inside, first[desc] - lo[:, None], 0)
+        pred += (j.size + 1) * np.arange(qs.size)[:, None]
+        return _Columns(desc, pred, width)
 
-        self.F = F
-        # Top level: a virtual root pair over all real nodes of each tree.
-        self._top = self._scalar_table(d1.all_sorted, d1.all_pred,
-                                       d2.all_sorted, d2.all_pred)
-        self.objective = float(self._top[-1, -1])
+    def _table(self, p: int, cols: _Columns) -> np.ndarray:
+        """The sequence DP of p's descendants against each row of cols.
 
-    def _scalar_table(self, ids1, pred1, ids2, pred2) -> np.ndarray:
-        """The sequence DP for one explicit pair of candidate lists."""
-        L1, L2 = ids1.size, ids2.size
-        G = np.zeros((L1 + 1, L2 + 1))
-        F = self.F
-        for i in range(1, L1 + 1):
-            cand = F[ids1[i - 1]][ids2] + G[pred1[i - 1]][pred2]
-            row = np.maximum(G[i - 1][1:], cand)
-            np.maximum.accumulate(row, out=row)
-            G[i][1:] = row
+        ``G[i, c, j]`` is the best total of F over ordered pairings of
+        disjoint nodes among the first i descendants of p and the first j
+        descendants of column c's node.
+        """
+        first, F = self.d1.first, self.F
+        lo = first[p]
+        m, k = cols.desc.shape
+        G = np.empty((p - lo + 1, m, k + 1))
+        G[0] = 0.0
+        G[:, :, 0] = 0.0
+        for i in range(1, p - lo + 1):
+            u = lo + i - 1
+            cand = F[u].take(cols.desc)
+            cand += G[first[u] - lo].take(cols.pred)
+            np.maximum(cand, G[i - 1, :, 1:], out=cand)
+            np.maximum.accumulate(cand, axis=1, out=G[i, :, 1:])
         return G
 
     # -- public queries -----------------------------------------------
@@ -288,18 +193,22 @@ class PairSolver:
         Returns -inf in labeled mode when the labels differ (the two
         roots cannot be matched at all).
         """
-        i = self.d1.index.preorder(p)
-        j = self.d2.index.preorder(q)
-        value = self.F[i, j]
+        value = self.F[self.d1.nodes.index(p), self.d2.nodes.index(q)]
         return float("-inf") if value <= NEG / 2 else float(value)
 
     def alignment(self) -> Alignment:
-        pairs: list[tuple[int, int]] = []
         d1, d2 = self.d1, self.d2
-
-        def unwind(G, ids1, pred1, ids2, pred2):
-            i, j = G.shape[0] - 1, G.shape[1] - 1
-            chosen = []
+        first1, first2 = d1.first, d2.first
+        pairs: list[tuple[int, int]] = []
+        todo = [(d1.n, d2.n)]  # the virtual roots: matched, not reported
+        while todo:
+            p, q = todo.pop()
+            if p < d1.n:
+                pairs.append((p, q))
+            if first1[p] == p or first2[q] == q:
+                continue  # a leaf on either side has nothing below to match
+            G = self._table(p, self._columns(np.array([q])))[:, 0]
+            i, j = p - first1[p], q - first2[q]
             while i > 0 and j > 0:
                 v = G[i, j]
                 if v == G[i - 1, j]:
@@ -307,25 +216,11 @@ class PairSolver:
                 elif v == G[i, j - 1]:
                     j -= 1
                 else:
-                    u, w = ids1[i - 1], ids2[j - 1]
-                    chosen.append((u, w))
-                    i, j = pred1[i - 1], pred2[j - 1]
-            # Recorded right-to-left; recurse left-to-right for stable output.
-            for u, w in reversed(chosen):
-                descend(u, w)
-
-        def descend(u: int, w: int):
-            pairs.append((u, w))
-            ids1, pred1 = d1.desc[u], d1.pred[u]
-            ids2, pred2 = d2.desc[w], d2.pred[w]
-            if ids1.size and ids2.size:
-                G = self._scalar_table(ids1, pred1, ids2, pred2)
-                unwind(G, ids1, pred1, ids2, pred2)
-
-        unwind(self._top, d1.all_sorted, d1.all_pred,
-               d2.all_sorted, d2.all_pred)
+                    u, w = first1[p] + i - 1, first2[q] + j - 1
+                    todo.append((u, w))
+                    i, j = first1[u] - first1[p], first2[w] - first2[q]
         node_pairs = tuple(
-            (d1.index.nodes[i], d2.index.nodes[j]) for i, j in sorted(pairs)
+            (d1.nodes[i], d2.nodes[j]) for i, j in sorted(pairs)
         )
         return Alignment(pairs=node_pairs, objective=self.objective)
 

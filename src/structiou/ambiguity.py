@@ -132,9 +132,11 @@ def strip_single_word_phrases(tree: ParseTree) -> ParseTree:
 
 
 # Stand-in for the protocol's random ground-truth draw at the published
-# table's template size: a mid-family parse whose scores against random
-# baselines reproduce the published cells. Other sizes default to the
-# first (fully right-branching) parse.
+# table's template size: a fixed mid-family parse whose random-mean cells
+# fall within 3 points of the published values (100 samples, seed 7:
+# bracket F1 25.00 against 27.3, Struct-IoU 63.98 against 61.9). The
+# lowest within-family Struct-IoU cell is 57.58 whichever parse is
+# chosen. Other sizes default to the first (fully right-branching) parse.
 _CALIBRATED_GT_INDEX = {8: 150}
 
 

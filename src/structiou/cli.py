@@ -107,10 +107,13 @@ def _project_corpus(
         raise DataError(
             f"{role}: {len(trees)} trees but {len(tables)} boundary blocks"
         )
-    return [
-        project_to_time(t, compact_silence(tab))
-        for t, tab in zip(trees, tables)
-    ]
+    projected = []
+    for k, (tree, table) in enumerate(zip(trees, tables)):
+        try:
+            projected.append(project_to_time(tree, compact_silence(table)))
+        except DataError as exc:
+            raise DataError(f"{role} sentence {k}: {exc}") from exc
+    return projected
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--gt-index", type=int, default=None,
                    help="which plausible parse is the ground truth "
-                        "(default: calibrated per template size)")
+                        "(default: a fixed parse per template size)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_ambiguity)
 

@@ -9,6 +9,10 @@ alone, or those rules plus the non-crossing requirement the dynamic
 program enforces. The second is what the shipped metric computes; the
 first exists to measure whether crossing matchings could ever score
 higher.
+
+It also holds the two ancestry helpers that the audit and the tests use
+to check alignments: a preorder index with O(1) ancestor queries, and
+the pairwise conflict test.
 """
 
 from __future__ import annotations
@@ -17,14 +21,78 @@ import enum
 
 import numpy as np
 
-from .align import Alignment, MatchMode, TreeIndex
+from .align import Alignment, MatchMode
 from .errors import CapacityError
 from .intervals import OpenInterval
-from .treebank import ParseTree, TreeNode
+from .treebank import ParseTree, TreeNode, iter_nodes
 
-__all__ = ["OracleVariant", "oracle_alignment", "random_timed_tree"]
+__all__ = [
+    "OracleVariant",
+    "TreeIndex",
+    "conflicted",
+    "oracle_alignment",
+    "random_timed_tree",
+]
 
 MAX_PAIR_PRODUCT = 400
+
+
+class TreeIndex:
+    """Preorder indexing of a tree with O(1) ancestry queries."""
+
+    def __init__(self, tree: ParseTree):
+        self.tree = tree
+        self.nodes: list[TreeNode] = list(iter_nodes(tree.root))
+        self.index = {id(n): i for i, n in enumerate(self.nodes)}
+        n = len(self.nodes)
+        # subtree_end[i]: one past the last preorder index inside i's subtree
+        self.subtree_end = np.empty(n, dtype=np.int64)
+
+        def walk(node: TreeNode) -> int:
+            i = self.index[id(node)]
+            end = i + 1
+            for c in node.children:
+                end = walk(c)
+            self.subtree_end[i] = end
+            return end
+
+        walk(tree.root)
+        self.starts = np.array([m.start for m in self.nodes], dtype=float)
+        self.ends = np.array([m.end for m in self.nodes], dtype=float)
+
+    def is_ancestor(self, p: TreeNode, q: TreeNode) -> bool:
+        """True iff p is a strict ancestor of q."""
+        i, j = self.index[id(p)], self.index[id(q)]
+        return i < j < self.subtree_end[i]
+
+    def ancestor_matrix(self) -> np.ndarray:
+        """anc[i, j] is True iff node i is a strict ancestor of node j."""
+        n = len(self.nodes)
+        idx = np.arange(n)
+        return (idx[:, None] < idx[None, :]) & (
+            idx[None, :] < self.subtree_end[:, None]
+        )
+
+
+def conflicted(
+    pair1: tuple[TreeNode, TreeNode],
+    pair2: tuple[TreeNode, TreeNode],
+    index1: TreeIndex,
+    index2: TreeIndex,
+) -> bool:
+    """Whether two matchings disagree on an ancestor/descendant relation.
+
+    Given matchings (p1, q1) and (p2, q2) over the same two trees, the
+    pair is conflicted when p1's ancestor (or descendant) relation to p2
+    differs from q1's relation to q2.
+    """
+    p1, q1 = pair1
+    p2, q2 = pair2
+    if index1.is_ancestor(p1, p2) != index2.is_ancestor(q1, q2):
+        return True
+    if index1.is_ancestor(p2, p1) != index2.is_ancestor(q2, q1):
+        return True
+    return False
 
 
 class OracleVariant(enum.Enum):

@@ -13,12 +13,13 @@ which is what alignment and validation need.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
 from .errors import DataError, TreeSyntaxError
-from .intervals import OpenInterval
+from .intervals import MIN_LENGTH, OpenInterval
 
 __all__ = [
     "TreeNode",
@@ -225,7 +226,8 @@ def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
     """Read blank-line-separated blocks of ``word<TAB>start<TAB>end`` rows.
 
     Leading and trailing blank lines are tolerated; an empty block between
-    two populated blocks is a data error.
+    two populated blocks is a data error. Times must be finite, and every
+    row at least ``MIN_LENGTH`` seconds long.
     """
     tables: list[BoundaryTable] = []
     block: list[BoundaryRow] = []
@@ -260,8 +262,14 @@ def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
             start, end = float(start_s), float(end_s)
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric time field") from None
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise DataError(f"line {lineno}: non-finite time field")
         if start >= end:
             raise DataError(f"start >= end at line {lineno}")
+        if end - start < MIN_LENGTH:
+            raise DataError(
+                f"line {lineno}: word shorter than {MIN_LENGTH} seconds"
+            )
         block.append(BoundaryRow(word, start, end))
     close_block()
     return tables
@@ -355,12 +363,6 @@ def project_even(tree: ParseTree) -> ParseTree:
 # ---------------------------------------------------------------------------
 # Validation
 
-# Root label that attach_dummy_roots reserves; its interval may be wider
-# than its children's hull (it spans two trees), so validate() checks
-# containment rather than equality for it.
-DUMMY_LABEL = "<DUMMY>"
-
-
 def validate(tree: ParseTree) -> list[str]:
     """Return a list of invariant violations; empty means the tree is valid.
 
@@ -387,10 +389,7 @@ def validate(tree: ParseTree) -> list[str]:
                     problems.append(f"children of {n.label} overlap")
             lo = min(c.start for c in n.children)
             hi = max(c.end for c in n.children)
-            if n is tree.root and n.label == DUMMY_LABEL:
-                if n.start > lo or n.end < hi:
-                    problems.append("dummy root does not cover its children")
-            elif (n.start, n.end) != (lo, hi):
+            if (n.start, n.end) != (lo, hi):
                 problems.append(
                     f"hull mismatch on {n.label}: ({n.start}, {n.end}) vs "
                     f"children hull ({lo}, {hi})"

@@ -3,24 +3,15 @@ import time
 import numpy as np
 import pytest
 
-from structiou.align import (
-    DUMMY_LABEL,
-    MatchMode,
-    PairSolver,
-    TreeIndex,
-    attach_dummy_roots,
-    conflicted,
-    max_weight_alignment,
-)
+from structiou.align import MatchMode, PairSolver, max_weight_alignment
 from structiou.intervals import OpenInterval, iou
-from structiou.oracle import random_timed_tree
+from structiou.oracle import TreeIndex, conflicted, random_timed_tree
 from structiou.treebank import (
     ParseTree,
     TreeNode,
     iter_nodes,
     parse_bracketed,
     project_even,
-    validate,
 )
 
 
@@ -74,30 +65,6 @@ class TestConflicted:
         i1, i2 = TreeIndex(t1), TreeIndex(t2)
         n1, n2 = by_label(t1), by_label(t2)
         assert not conflicted((n1["A"], n2["F"]), (n1["C"], n2["H"]), i1, i2)
-
-
-class TestDummyRoots:
-    def test_hull_of_both_trees(self):
-        t1 = project_even(parse_bracketed("(A (B x) (C y))"))  # (0, 2)
-        t2 = ParseTree(TreeNode("Z", OpenInterval(1.0, 3.0), word="w"))
-        d1, d2 = attach_dummy_roots(t1, t2)
-        assert (d1.root.start, d1.root.end) == (0.0, 3.0)
-        assert (d2.root.start, d2.root.end) == (0.0, 3.0)
-        assert d1.root.label == DUMMY_LABEL
-        assert iou(d1.root.interval, d2.root.interval) == 1.0
-        assert validate(d1) == [] and validate(d2) == []
-        assert d1.node_count == t1.node_count + 1
-
-    def test_identical_span_trees(self, gold_timed):
-        d1, d2 = attach_dummy_roots(gold_timed, gold_timed)
-        assert (d1.root.start, d1.root.end) == (2.56, 3.01)
-        assert iou(d1.root.interval, d2.root.interval) == 1.0
-
-    def test_disjoint_single_nodes(self):
-        t1 = ParseTree(TreeNode("X", OpenInterval(0.0, 1.0), word="a"))
-        t2 = ParseTree(TreeNode("X", OpenInterval(5.0, 6.0), word="b"))
-        d1, d2 = attach_dummy_roots(t1, t2)
-        assert (d1.root.start, d1.root.end) == (0.0, 6.0)
 
 
 class TestMaxWeightAlignment:

@@ -116,6 +116,23 @@ class TestEval:
         ])
         assert code == 1
 
+    def test_projection_error_names_sentence(self, corpus, tmp_path, capsys):
+        gold = tmp_path / "two.trees"
+        gold.write_text(GOLD_TREE + GOLD_TREE, encoding="utf-8")
+        bounds = tmp_path / "two.bounds"
+        bounds.write_text(GOLD_BOUNDS + "\nYour\t0\t1\n", encoding="utf-8")
+        code = main([
+            "eval",
+            "--gold", str(gold),
+            "--pred", str(gold),
+            "--gold-bounds", str(bounds),
+            "--pred-bounds", str(bounds),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gold sentence 1: tree has 2 leaves but table has 1 rows\n"
+        )
+
     def test_malformed_tree_exit2(self, corpus, tmp_path):
         bad = tmp_path / "bad.trees"
         bad.write_text("(NP (PRP Your)\n", encoding="utf-8")

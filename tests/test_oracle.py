@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from structiou.align import TreeIndex, conflicted, max_weight_alignment
+from structiou.align import max_weight_alignment
 from structiou.errors import CapacityError
 from structiou.intervals import OpenInterval, iou
-from structiou.oracle import OracleVariant, oracle_alignment, random_timed_tree
+from structiou.oracle import (
+    OracleVariant,
+    TreeIndex,
+    conflicted,
+    oracle_alignment,
+    random_timed_tree,
+)
 from structiou.treebank import project_even
 
 

@@ -1,0 +1,89 @@
+"""Metric invariants as property tests over seeded random timed trees."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from structiou.align import max_weight_alignment
+from structiou.intervals import OpenInterval, iou
+from structiou.metric import struct_iou_sentence
+from structiou.oracle import TreeIndex, conflicted, random_timed_tree
+from structiou.treebank import ParseTree, TreeNode
+
+MAX_NODES = 20
+
+seeds = st.integers(0, 2**32 - 1)
+modes = st.sampled_from(["labeled", "unlabeled"])
+examples = settings(max_examples=60, deadline=None, database=None)
+
+
+def tree(seed: int) -> ParseTree:
+    return random_timed_tree(np.random.default_rng(seed), MAX_NODES)
+
+
+def score(t1: ParseTree, t2: ParseTree, mode: str) -> float:
+    return struct_iou_sentence(t1, t2, mode).value
+
+
+def retimed(t: ParseTree, shift: float, scale: float) -> ParseTree:
+    def rebuild(node: TreeNode) -> TreeNode:
+        span = OpenInterval(node.start * scale + shift, node.end * scale + shift)
+        kids = tuple(rebuild(c) for c in node.children)
+        return TreeNode(node.label, span, children=kids, word=node.word)
+
+    return ParseTree(rebuild(t.root))
+
+
+@examples
+@given(seeds, seeds, modes)
+def test_symmetric(s1, s2, mode):
+    t1, t2 = tree(s1), tree(s2)
+    assert score(t1, t2, mode) == pytest.approx(score(t2, t1, mode), abs=1e-12)
+
+
+@examples
+@given(seeds, modes)
+def test_self_score_is_one(s, mode):
+    t = tree(s)
+    assert score(t, t, mode) == pytest.approx(1.0, abs=1e-12)
+
+
+@examples
+@given(seeds, seeds, modes)
+def test_score_in_unit_interval(s1, s2, mode):
+    assert 0.0 <= score(tree(s1), tree(s2), mode) <= 1.0
+
+
+@examples
+@given(
+    seeds,
+    seeds,
+    modes,
+    st.floats(-100.0, 100.0),
+    st.floats(0.01, 100.0),
+)
+def test_time_shift_and_scale_invariant(s1, s2, mode, shift, scale):
+    t1, t2 = tree(s1), tree(s2)
+    moved = score(retimed(t1, shift, scale), retimed(t2, shift, scale), mode)
+    assert moved == pytest.approx(score(t1, t2, mode), abs=1e-9)
+
+
+@examples
+@given(seeds, seeds, modes)
+def test_alignment_feasible_and_sums_to_objective(s1, s2, mode):
+    t1, t2 = tree(s1), tree(s2)
+    out = max_weight_alignment(t1, t2, mode)
+    pairs = out.pairs
+    assert len({id(a) for a, _ in pairs}) == len(pairs)
+    assert len({id(b) for _, b in pairs}) == len(pairs)
+    if mode == "labeled":
+        assert all(a.label == b.label for a, b in pairs)
+    i1, i2 = TreeIndex(t1), TreeIndex(t2)
+    for x, (a1, b1) in enumerate(pairs):
+        for a2, b2 in pairs[x + 1 :]:
+            assert not conflicted((a1, b1), (a2, b2), i1, i2)
+            related = i1.is_ancestor(a1, a2) or i1.is_ancestor(a2, a1)
+            if not related:
+                assert (a1.start < a2.start) == (b1.start < b2.start)
+    total = sum(iou(a.interval, b.interval) for a, b in pairs)
+    assert total == pytest.approx(out.objective, abs=1e-9)

@@ -124,6 +124,23 @@ class TestBoundaryFile:
         with pytest.raises(DataError, match="line 1"):
             read_boundary_file(io.StringIO("a\tx\t0.5\n"))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a final end at inf once made eval print nan scores
+            ("a\t0\t1\nb\t1\tinf\n", 2),
+            ("a\tnan\t1\n", 1),
+            ("a\t-inf\t1\n", 1),
+            ("a\t0\tnan\n", 1),
+            # shorter than intervals.MIN_LENGTH
+            ("a\t0\t1\n\nb\t1\t1.0000000001\n", 3),
+        ],
+        ids=["inf-end", "nan-start", "minus-inf-start", "nan-end", "too-short"],
+    )
+    def test_unusable_times(self, text, line):
+        with pytest.raises(DataError, match=f"^line {line}: "):
+            read_boundary_file(io.StringIO(text))
+
     def test_overlap(self):
         src = io.StringIO("a\t0\t1.5\nb\t1.0\t2\n")
         with pytest.raises(DataError, match="overlap"):
