@@ -1,50 +1,39 @@
 """Exact maximum-weight structured alignment between two timed parse trees.
 
-Node pairs are weighted by interval IoU and the chosen matching must
-respect ancestry on both sides: whenever two matchings are selected, the
-ancestor/descendant relations of the two left-hand nodes must mirror
-those of the two right-hand nodes, and siblings must not cross left to
-right. Under those constraints the optimum decomposes recursively: the
-value of aligning two subtrees with their roots matched is the root pair
-IoU plus the best pairing of two equal-length, left-to-right ordered
-sequences of pairwise-disjoint descendants.
+Node pairs are weighted by interval IoU; a matching must mirror ancestry
+between the trees and must not cross siblings. Two subtrees with their
+roots matched are worth the roots' IoU plus the best pairing of two
+left-to-right sequences of disjoint descendants. In postorder, with ``first[p]`` the index of p's first descendant, p's
+descendants are ``first[p] .. p-1`` and those ending before a descendant
+u starts are the prefix ``first[p] .. first[u]-1``, so a prefix-maximum
+program over two postorder ranges finds that pairing. The nodes sharing
+a ``first`` form a leftmost path topped by its keyroot (a virtual root
+at n, with ``first = 0``, tops the root's path), and each owns a prefix
+of the keyroot's range: one table per first-tree keyroot, its columns
+the second tree's keyroot segments end to end, serves every pair on the
+two paths (Zhang & Shasha 1989). Recovery re-fills one table per
+distinct keyroot pair above the matched pairs.
 
-Nodes are numbered in postorder, and ``first[p]`` is the index of p's
-first descendant (p itself for a leaf), so p's strict descendants are
-exactly ``first[p] .. p-1`` (Zhang & Shasha's leftmost-descendant
-indexing). Among them, the nodes that end before a descendant u starts
-are ``first[p] .. first[u]-1``: the legal predecessors of u in a
-disjoint sequence always form a prefix, of length ``first[u] - first[p]``.
-That turns the inner maximization into a prefix-maximum dynamic program
-over two postorder ranges, filled by one routine (``_table``) for three
-callers:
-
-* the forward pass, bottom-up over the first tree's nodes and vectorized
-  over all of the second tree's nodes;
-* the top level, a virtual root at index n with ``first = 0`` on each
-  side, whose table value is the objective;
-* recovery, which re-fills the table of each matched pair and walks it
-  back to find the pairs below.
-
-Total cost is O(n^2 m^2) for trees of n and m nodes.
+Mirroring both trees keeps every IoU and every feasible alignment but
+makes a right-branching chain left-branching, with a single keyroot, so
+each pair is numbered with children left to right or right to left,
+whichever gives the smaller product of ``sum(k - first[k])`` over the
+two trees' keyroots (RTED's left/right path choice, Pawlik & Augsten
+2011). The cost is that many table rows times C2 = ``sum(k - first[k]
++ 1)`` over the second tree's keyroots: about n*m cells for chains,
+n*m*log(n)*log(m) for balanced trees and O(n^2 m^2) for zig-zag trees.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .treebank import ParseTree, TreeNode
 
-__all__ = [
-    "MatchMode",
-    "Alignment",
-    "PairSolver",
-    "max_weight_alignment",
-]
+__all__ = ["MatchMode", "Alignment", "PairSolver", "max_weight_alignment"]
 
 NEG = -1e18  # sentinel for pairs excluded from matching
 
@@ -55,151 +44,158 @@ class MatchMode(enum.Enum):
 
     @classmethod
     def coerce(cls, value: "MatchMode | str") -> "MatchMode":
-        if isinstance(value, MatchMode):
-            return value
-        return cls(value)
+        return value if isinstance(value, MatchMode) else cls(value)
 
 
 @dataclass(frozen=True)
 class Alignment:
     """Matched node pairs plus the total IoU weight they realize.
 
-    The pairs are listed in postorder of their first-tree node: every
-    pair comes after the pairs matched below it, and left-to-right
-    between disjoint subtrees.
-    """
+    The pairs are in the first tree's left-to-right postorder: each pair
+    after the pairs matched below it, disjoint subtrees left to right."""
 
     pairs: tuple[tuple[TreeNode, TreeNode], ...]
     objective: float
 
 
+def _paths(first: np.ndarray) -> dict[int, int]:
+    """Each leftmost path's keyroot, keyed by the path's ``first``."""
+    return dict(zip(first.tolist(), range(first.size)))
+
+
 class _TreeData:
-    """A tree's nodes in postorder, with a virtual root at index n."""
+    """A tree's nodes in postorder, with a virtual root at index n;
+    ``mirror`` renumbers them children right to left (``rank`` maps back)."""
 
     def __init__(self, tree: ParseTree):
         self.nodes: list[TreeNode] = []
-        first: list[int] = []
+        seen: list[tuple[int, int]] = []  # (first, depth) per node
 
-        def walk(node: TreeNode):
+        def walk(node: TreeNode, depth: int):
             lo = len(self.nodes)
             for child in node.children:
-                walk(child)
-            first.append(lo)
+                walk(child, depth + 1)
+            seen.append((lo, depth))
             self.nodes.append(node)
 
-        walk(tree.root)
-        self.n = len(self.nodes)
-        self.first = np.array(first + [0], dtype=np.int64)
-        self.starts = np.array([m.start for m in self.nodes], dtype=float)
-        self.ends = np.array([m.end for m in self.nodes], dtype=float)
-        self.labels = [m.label for m in self.nodes]
+        walk(tree.root, 0)
+        self.n = n = len(self.nodes)
+        first, depth = np.array(seen, dtype=np.int64).T
+        self.rank = np.arange(n)
+        self.first = np.append(first, 0)
+        # ``flipped`` is ``first`` in the mirrored postorder: this preorder
+        # reversed, where a node's preorder index is its first plus depth.
+        self._flip = n - 1 - first - depth
+        self.flipped = np.zeros(n + 1, dtype=np.int64)
+        self.flipped[self._flip] = self._flip - self.rank + first
 
-
-class _Columns(NamedTuple):
-    """Gather indices for the descendants of each second-tree node in qs.
-
-    Row c lists the descendants of qs[c] (``desc``), padded with node 0
-    up to the widest row, and each one's prefix of legal predecessors as
-    a flat index into a (len(qs), width + 1) table row (``pred``).
-    """
-
-    desc: np.ndarray
-    pred: np.ndarray
-    width: np.ndarray
+    def mirror(self):
+        order = np.argsort(self._flip)
+        self.rank, self.first = order, self.flipped
+        self.nodes = [self.nodes[i] for i in order]
 
 
 class PairSolver:
     """One alignment problem over a fixed tree pair and match mode.
 
-    Subtree values are computed once, bottom-up, on construction; the
-    objective, the realizing pairs, and per-subtree-pair optima are then
-    cheap lookups.
+    Solved on construction; the objective, the realizing pairs and the
+    per-subtree-pair optima are then cheap lookups.
     """
 
     def __init__(self, t1: ParseTree, t2: ParseTree, mode: MatchMode | str):
         self.mode = MatchMode.coerce(mode)
-        self.d1 = _TreeData(t1)
-        self.d2 = _TreeData(t2)
+        self.d1, self.d2 = d1, d2 = _TreeData(t1), _TreeData(t2)
+        cost = [sum(k - f for f, k in _paths(first).items())
+                for first in (d1.first, d2.first, d1.flipped, d2.flipped)]
+        if cost[2] * cost[3] < cost[0] * cost[1]:
+            d1.mirror()
+            d2.mirror()
         self._solve()
 
     def _solve(self):
         d1, d2 = self.d1, self.d2
         n1, n2 = d1.n, d2.n
-
-        inter = np.minimum(d1.ends[:, None], d2.ends[None, :]) - np.maximum(
-            d1.starts[:, None], d2.starts[None, :]
-        )
+        s1, e1 = np.array([(m.start, m.end) for m in d1.nodes], dtype=float).T
+        s2, e2 = np.array([(m.start, m.end) for m in d2.nodes], dtype=float).T
+        inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
         np.clip(inter, 0.0, None, out=inter)
-        len1 = (d1.ends - d1.starts)[:, None]
-        len2 = (d2.ends - d2.starts)[None, :]
-        weights = inter / (len1 + len2 - inter)
-
+        weights = inter / ((e1 - s1)[:, None] + (e2 - s2) - inter)
+        allowed = True
         if self.mode is MatchMode.LABELED:
             lab2 = {}
-            ids2 = np.array([lab2.setdefault(l, len(lab2)) for l in d2.labels])
-            ids1 = np.array([lab2.get(l, -1) for l in d1.labels])
+            ids2 = np.array([lab2.setdefault(m.label, len(lab2)) for m in d2.nodes])
+            ids1 = np.array([lab2.get(m.label, -1) for m in d1.nodes])
             allowed = ids1[:, None] == ids2[None, :]
-        else:
-            allowed = np.ones((n1, n2), dtype=bool)
+        # F[p, q]: best weight of p's and q's subtrees with p matched to q,
+        # its IoU until the tables add the rest; virtual roots never match.
+        self.F = F = np.full((n1 + 1, n2 + 1), NEG)
+        np.copyto(F[:n1, :n2], weights, where=allowed)
+        top2 = _paths(d2.first)
+        cols = self._columns(sorted(top2.values()))
+        # each second-tree node's column: its descendants' prefix
+        into = np.arange(n2) + [cols[3][top2[f]] - f for f in d2.first[:n2].tolist()]
+        for k in sorted(_paths(d1.first).values()):
+            if d1.first[k] < k:
+                G = self._table(k, cols, into)
+        self.objective = float(G[-1, -1])  # the virtual roots' segment is last
 
-        # F[p, q]: best weight of p's and q's subtrees with p matched to q.
-        self.F = F = np.empty((n1, n2))
-        qs = np.arange(n2)
-        cols = self._columns(qs)
-        for p in range(n1):
-            seq_best = self._table(p, cols)[-1, qs, cols.width]
-            F[p] = np.where(allowed[p], weights[p] + seq_best, NEG)
+    def _columns(self, keyroots: list[int]):
+        """Second-tree keyroot segments as columns, and their offsets.
 
-        top = self._table(n1, self._columns(np.array([n2])))
-        self.objective = float(top[-1, 0, -1])
-
-    def _columns(self, qs: np.ndarray) -> _Columns:
+        Segment k's column j > 0 adds node ``w = first[k] + j - 1``, whose
+        legal predecessors end at column ``pred``; column 0 takes the
+        virtual root, never matched. ``z.real`` numbers the segments."""
         first = self.d2.first
-        lo = first[qs]
-        width = qs - lo
-        j = np.arange(int(width.max()))
-        inside = j < width[:, None]
-        desc = np.where(inside, lo[:, None] + j, 0)
-        pred = np.where(inside, first[desc] - lo[:, None], 0)
-        pred += (j.size + 1) * np.arange(qs.size)[:, None]
-        return _Columns(desc, pred, width)
+        ks = np.array(keyroots)
+        width = ks - first[ks] + 1
+        off = np.cumsum(width) - width
+        seg = np.repeat(np.arange(ks.size), width)
+        j = np.arange(seg.size) - off[seg]
+        lo = first[ks][seg]
+        w = np.where(j > 0, lo + j - 1, self.d2.n)
+        pred = np.where(j > 0, off[seg] + first[w] - lo, 0)
+        z = seg + 0j
+        return w, pred, z, dict(zip(keyroots, off.tolist()))
 
-    def _table(self, p: int, cols: _Columns) -> np.ndarray:
-        """The sequence DP of p's descendants against each row of cols.
+    def _table(self, k: int, cols, into: np.ndarray | None = None) -> np.ndarray:
+        """``G[i, c]``: best F total over ordered disjoint pairings among
+        keyroot k's first i descendants and column c's segment up to c.
 
-        ``G[i, c, j]`` is the best total of F over ordered pairings of
-        disjoint nodes among the first i descendants of p and the first j
-        descendants of column c's node.
-        """
+        Complex numbers order by real part first, so the running maximum
+        restarts per segment. Given ``into``, each node's column, rows
+        also complete F for the nodes on k's path, k last."""
         first, F = self.d1.first, self.F
-        lo = first[p]
-        m, k = cols.desc.shape
-        G = np.empty((p - lo + 1, m, k + 1))
+        lo = first[k]
+        w, pred, z, _ = cols
+        G = np.empty((k - lo + 1, w.size))
         G[0] = 0.0
-        G[:, :, 0] = 0.0
-        for i in range(1, p - lo + 1):
+        for i in range(1, k - lo + 1):
             u = lo + i - 1
-            cand = F[u].take(cols.desc)
-            cand += G[first[u] - lo].take(cols.pred)
-            np.maximum(cand, G[i - 1, :, 1:], out=cand)
-            np.maximum.accumulate(cand, axis=1, out=G[i, :, 1:])
+            if into is not None and first[u] == lo:
+                F[u, :-1] += G[i - 1].take(into)
+            cand = F[u].take(w)
+            cand += G[first[u] - lo].take(pred)
+            np.maximum(cand, G[i - 1], out=cand)
+            z.imag = cand
+            np.maximum.accumulate(z, out=z)
+            G[i] = z.imag
+        if into is not None:
+            F[k, :-1] += G[-1].take(into)
         return G
-
-    # -- public queries -----------------------------------------------
 
     def subtree_objective(self, p: TreeNode, q: TreeNode) -> float:
         """Best alignment weight for the two subtrees with p matched to q.
 
         Returns -inf in labeled mode when the labels differ (the two
-        roots cannot be matched at all).
-        """
+        roots cannot be matched at all)."""
         value = self.F[self.d1.nodes.index(p), self.d2.nodes.index(q)]
         return float("-inf") if value <= NEG / 2 else float(value)
 
     def alignment(self) -> Alignment:
         d1, d2 = self.d1, self.d2
         first1, first2 = d1.first, d2.first
-        pairs: list[tuple[int, int]] = []
+        top1, top2 = _paths(first1), _paths(first2)
+        tables, pairs = {}, []
         todo = [(d1.n, d2.n)]  # the virtual roots: matched, not reported
         while todo:
             p, q = todo.pop()
@@ -207,7 +203,10 @@ class PairSolver:
                 pairs.append((p, q))
             if first1[p] == p or first2[q] == q:
                 continue  # a leaf on either side has nothing below to match
-            G = self._table(p, self._columns(np.array([q])))[:, 0]
+            key = top1[first1[p]], top2[first2[q]]
+            if key not in tables:
+                tables[key] = self._table(key[0], self._columns([key[1]]))
+            G = tables[key]
             i, j = p - first1[p], q - first2[q]
             while i > 0 and j > 0:
                 v = G[i, j]
@@ -219,9 +218,9 @@ class PairSolver:
                     u, w = first1[p] + i - 1, first2[q] + j - 1
                     todo.append((u, w))
                     i, j = first1[u] - first1[p], first2[w] - first2[q]
-        node_pairs = tuple(
-            (d1.nodes[i], d2.nodes[j]) for i, j in sorted(pairs)
-        )
+        rank = d1.rank.tolist()  # report in left-to-right postorder
+        pairs.sort(key=lambda pq: rank[pq[0]])
+        node_pairs = tuple((d1.nodes[i], d2.nodes[j]) for i, j in pairs)
         return Alignment(pairs=node_pairs, objective=self.objective)
 
 

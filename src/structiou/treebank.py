@@ -290,7 +290,8 @@ def write_boundary_file(tables: Iterable[BoundaryTable], stream: TextIO) -> None
         if i:
             stream.write("\n")
         for row in table.rows:
-            stream.write(f"{row.word}\t{row.start!r}\t{row.end!r}\n")
+            # float() first: numpy 2 scalars repr as ``np.float64(...)``
+            stream.write(f"{row.word}\t{float(row.start)!r}\t{float(row.end)!r}\n")
 
 
 def compact_silence(table: BoundaryTable) -> BoundaryTable:

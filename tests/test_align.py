@@ -7,11 +7,14 @@ from structiou.align import MatchMode, PairSolver, max_weight_alignment
 from structiou.intervals import OpenInterval, iou
 from structiou.oracle import TreeIndex, conflicted, random_timed_tree
 from structiou.treebank import (
+    BoundaryRow,
+    BoundaryTable,
     ParseTree,
     TreeNode,
     iter_nodes,
     parse_bracketed,
     project_even,
+    project_to_time,
 )
 
 
@@ -185,6 +188,35 @@ def _assert_feasible(t1, t2, alignment, mode):
     for x in range(len(pairs)):
         for y in range(x + 1, len(pairs)):
             assert not conflicted(pairs[x], pairs[y], i1, i2)
+
+
+def test_pairs_in_left_to_right_postorder_when_solved_mirrored():
+    """A right-branching chain is solved in the mirrored numbering, but
+    the pairs still come in the first tree's left-to-right postorder."""
+    text = "(X w)"
+    for _ in range(11):
+        text = f"(X (X w) {text})"
+    tree = parse_bracketed(text)
+    rng = np.random.default_rng(3)
+
+    def timed():
+        cuts = np.cumsum(rng.uniform(0.5, 1.5, 13)).tolist()
+        rows = tuple(BoundaryRow("w", a, b) for a, b in zip(cuts, cuts[1:]))
+        return project_to_time(tree, BoundaryTable(rows))
+
+    def postorder(node):
+        for child in node.children:
+            yield from postorder(child)
+        yield node
+
+    t1, t2 = timed(), timed()
+    solver = PairSolver(t1, t2, "labeled")
+    # precondition: the solver picked the mirrored numbering
+    assert solver.d1.rank.tolist() != list(range(t1.node_count))
+    index = {id(n): k for k, n in enumerate(postorder(t1.root))}
+    order = [index[id(a)] for a, _ in solver.alignment().pairs]
+    assert len(order) > 1
+    assert order == sorted(order)
 
 
 def test_scaling_stays_polynomial():

@@ -133,6 +133,31 @@ class TestEval:
             "error: gold sentence 1: tree has 2 leaves but table has 1 rows\n"
         )
 
+    @pytest.mark.parametrize("role", ["gold", "pred"])
+    def test_boundary_error_names_file(self, corpus, tmp_path, capsys, role):
+        bad = tmp_path / "g.bounds"
+        bad.write_text("Your\t2.56\t2.72\nturn\t2.72\tinf\n", encoding="utf-8")
+        files = {"gold": corpus["gold.bounds"], "pred": corpus["pred.bounds"]}
+        files[role] = str(bad)
+        code = main([
+            "eval",
+            "--gold", corpus["gold.trees"],
+            "--pred", corpus["pred.trees"],
+            "--gold-bounds", files["gold"],
+            "--pred-bounds", files["pred"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: non-finite time field\n"
+        )
+
+    def test_tree_error_names_file(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.trees"
+        bad.write_text("(NP (PRP Your) (NN turn))\n(NP (PRP Your)\n", encoding="utf-8")
+        code = main(["eval", "--gold", str(bad), "--pred", str(bad), "--even"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 2")
+
     def test_malformed_tree_exit2(self, corpus, tmp_path):
         bad = tmp_path / "bad.trees"
         bad.write_text("(NP (PRP Your)\n", encoding="utf-8")
@@ -389,6 +414,32 @@ class TestOracleCheck:
             "oracle-check", "--trials", "1", "--max-nodes", "1", "--seed", "0",
         ])
         assert code == 0
+
+    def test_pairs_above_guard_use_ted(self, monkeypatch, capsys):
+        # seed 4 draws 32x27, 35x31 and 25x26 nodes, all above the
+        # 400-pair branch-and-bound guard
+        def barred(*args):
+            raise AssertionError("branch and bound called above its guard")
+
+        monkeypatch.setattr("structiou.cli.oracle_alignment", barred)
+        code = main([
+            "oracle-check", "--trials", "3", "--max-nodes", "40", "--seed", "4",
+        ])
+        assert code == 0
+        assert "passed=3" in capsys.readouterr().out
+
+    def test_ted_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("structiou.cli.ted_objective", lambda *args: 1e6)
+        out_dir = tmp_path / "dumps"
+        code = main([
+            "oracle-check", "--trials", "1", "--max-nodes", "40",
+            "--seed", "4", "--out", str(out_dir),
+        ])
+        assert code == 3
+        payload = json.loads((out_dir / "oracle_counterexample_0.json").read_text())
+        assert payload["reference"] == "ted"
+        assert payload["oracle_objective"] == 1e6
+        assert "!= ted 1000000.0" in capsys.readouterr().err
 
     def test_injected_fault_exits_3(self, tmp_path, monkeypatch, capsys):
         from structiou.align import Alignment

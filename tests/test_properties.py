@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from structiou.align import max_weight_alignment
+from structiou.align import PairSolver, max_weight_alignment
 from structiou.intervals import OpenInterval, iou
 from structiou.metric import struct_iou_sentence
-from structiou.oracle import TreeIndex, conflicted, random_timed_tree
+from structiou.oracle import TreeIndex, conflicted, random_timed_tree, ted_objective
 from structiou.treebank import ParseTree, TreeNode
 
 MAX_NODES = 20
@@ -32,6 +32,38 @@ def retimed(t: ParseTree, shift: float, scale: float) -> ParseTree:
         return TreeNode(node.label, span, children=kids, word=node.word)
 
     return ParseTree(rebuild(t.root))
+
+
+def mirrored(t: ParseTree) -> ParseTree:
+    """Children reversed and time reflected: (s, e) becomes (-e, -s)."""
+
+    def rebuild(node: TreeNode) -> TreeNode:
+        span = OpenInterval(-node.end, -node.start)
+        kids = tuple(rebuild(c) for c in reversed(node.children))
+        return TreeNode(node.label, span, children=kids, word=node.word)
+
+    return ParseTree(rebuild(t.root))
+
+
+def chain(words: int, right: bool, seed: int) -> ParseTree:
+    """A chain whose internal nodes each have one leaf child, on the left
+    (right-branching) or on the right, over random word times and labels."""
+    rng = np.random.default_rng(seed)
+    cuts = np.cumsum(rng.uniform(0.1, 1.0, words + 1)).tolist()
+    labels = rng.choice(["A", "B"], 2 * words).tolist()
+    kids = [
+        TreeNode(labels[k], OpenInterval(cuts[k], cuts[k + 1]), word=f"w{k}")
+        for k in range(words)
+    ]
+    node = kids.pop() if right else kids.pop(0)
+    while kids:
+        pair = (kids.pop(), node) if right else (node, kids.pop(0))
+        span = OpenInterval(pair[0].start, pair[1].end)
+        node = TreeNode(labels[words + len(kids)], span, children=pair)
+    return ParseTree(node)
+
+
+chains = st.builds(chain, st.integers(1, 14), st.booleans(), seeds)
 
 
 @examples
@@ -87,3 +119,24 @@ def test_alignment_feasible_and_sums_to_objective(s1, s2, mode):
                 assert (a1.start < a2.start) == (b1.start < b2.start)
     total = sum(iou(a.interval, b.interval) for a, b in pairs)
     assert total == pytest.approx(out.objective, abs=1e-9)
+
+
+@examples
+@given(st.one_of(seeds.map(tree), chains), st.one_of(seeds.map(tree), chains), modes)
+def test_score_unchanged_when_both_trees_mirrored(t1, t2, mode):
+    expected = score(t1, t2, mode)
+    assert score(mirrored(t1), mirrored(t2), mode) == pytest.approx(expected, abs=1e-12)
+
+
+# Zhang-Shasha tree edit distance is an independent polynomial reference
+# for trees too big for branch and bound.
+big_trees = st.one_of(
+    seeds.map(lambda s: random_timed_tree(np.random.default_rng(s), 40)), chains
+)
+
+
+@examples
+@given(big_trees, big_trees, modes)
+def test_objective_equals_ted(t1, t2, mode):
+    expected = ted_objective(t1, t2, mode)
+    assert PairSolver(t1, t2, mode).objective == pytest.approx(expected, abs=1e-9)

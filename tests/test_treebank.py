@@ -18,6 +18,7 @@ from structiou.treebank import (
     read_tree_file,
     serialize_bracketed,
     validate,
+    write_boundary_file,
 )
 
 
@@ -154,6 +155,21 @@ class TestBoundaryFile:
     def test_trailing_blanks_tolerated(self):
         src = io.StringIO("a\t0\t1\n\n")
         assert len(read_boundary_file(src)) == 1
+
+    def test_numpy_times_round_trip(self):
+        # numpy 2 scalars repr as np.float64(...), which reads back as text
+        cut = np.float64(0.1) + np.float64(0.2)
+        table = BoundaryTable((
+            BoundaryRow("a", np.float64(0.0), cut),
+            BoundaryRow("b", cut, np.float64(2.5)),
+        ))
+        out = io.StringIO()
+        write_boundary_file([table, table], out)
+        assert "np." not in out.getvalue()
+        back = read_boundary_file(io.StringIO(out.getvalue()))
+        assert [[(r.word, r.start, r.end) for r in t.rows] for t in back] == (
+            2 * [[("a", 0.0, 0.30000000000000004), ("b", 0.30000000000000004, 2.5)]]
+        )
 
 
 class TestCompactSilence:
