@@ -1,27 +1,16 @@
 """Exact maximum-weight structured alignment between two timed parse trees.
 
 Node pairs are weighted by interval IoU; a matching must mirror ancestry
-between the trees and must not cross siblings. Two subtrees with their
-roots matched are worth the roots' IoU plus the best pairing of two
-left-to-right sequences of disjoint descendants. In postorder, with ``first[p]`` the index of p's first descendant, p's
-descendants are ``first[p] .. p-1`` and those ending before a descendant
-u starts are the prefix ``first[p] .. first[u]-1``, so a prefix-maximum
-program over two postorder ranges finds that pairing. The nodes sharing
-a ``first`` form a leftmost path topped by its keyroot (a virtual root
-at n, with ``first = 0``, tops the root's path), and each owns a prefix
-of the keyroot's range: one table per first-tree keyroot, its columns
-the second tree's keyroot segments end to end, serves every pair on the
-two paths (Zhang & Shasha 1989). Recovery re-fills one table per
-distinct keyroot pair above the matched pairs.
-
-Mirroring both trees keeps every IoU and every feasible alignment but
-makes a right-branching chain left-branching, with a single keyroot, so
-each pair is numbered with children left to right or right to left,
+and must not cross siblings. In postorder, with ``first[p]`` p's first
+descendant, p's descendants ending before its descendant u starts are
+the prefix ``first[p] .. first[u]-1``. Nodes sharing a ``first`` form a
+leftmost path under a keyroot (a virtual root at n tops the root's), and
+one table of prefix maxima per first-tree keyroot, its columns the
+second tree's keyroot segments end to end, serves both paths (Zhang &
+Shasha 1989). Each pair numbers children left to right or right to left,
 whichever gives the smaller product of ``sum(k - first[k])`` over the
-two trees' keyroots (RTED's left/right path choice, Pawlik & Augsten
-2011). The cost is that many table rows times C2 = ``sum(k - first[k]
-+ 1)`` over the second tree's keyroots: about n*m cells for chains,
-n*m*log(n)*log(m) for balanced trees and O(n^2 m^2) for zig-zag trees.
+two trees' keyroots (RTED, Pawlik & Augsten 2011). Cost: that many rows
+times ``sum(k - first[k] + 1)`` columns.
 """
 
 from __future__ import annotations
@@ -33,7 +22,12 @@ import numpy as np
 
 from .treebank import ParseTree, TreeNode
 
-__all__ = ["MatchMode", "Alignment", "PairSolver", "max_weight_alignment"]
+__all__ = [
+    "MatchMode",
+    "Alignment",
+    "PairSolver",
+    "max_weight_alignment",
+]
 
 NEG = -1e18  # sentinel for pairs excluded from matching
 
@@ -44,7 +38,9 @@ class MatchMode(enum.Enum):
 
     @classmethod
     def coerce(cls, value: "MatchMode | str") -> "MatchMode":
-        return value if isinstance(value, MatchMode) else cls(value)
+        if isinstance(value, MatchMode):
+            return value
+        return cls(value)
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,8 @@ class Alignment:
     """Matched node pairs plus the total IoU weight they realize.
 
     The pairs are in the first tree's left-to-right postorder: each pair
-    after the pairs matched below it, disjoint subtrees left to right."""
+    after the pairs matched below it, disjoint subtrees left to right.
+    """
 
     pairs: tuple[tuple[TreeNode, TreeNode], ...]
     objective: float
@@ -64,8 +61,7 @@ def _paths(first: np.ndarray) -> dict[int, int]:
 
 
 class _TreeData:
-    """A tree's nodes in postorder, with a virtual root at index n;
-    ``mirror`` renumbers them children right to left (``rank`` maps back)."""
+    """A tree's nodes in postorder, with a virtual root at index n."""
 
     def __init__(self, tree: ParseTree):
         self.nodes: list[TreeNode] = []
@@ -90,6 +86,7 @@ class _TreeData:
         self.flipped[self._flip] = self._flip - self.rank + first
 
     def mirror(self):
+        """Renumber the nodes children right to left; ``rank`` maps back."""
         order = np.argsort(self._flip)
         self.rank, self.first = order, self.flipped
         self.nodes = [self.nodes[i] for i in order]
@@ -114,7 +111,6 @@ class PairSolver:
 
     def _solve(self):
         d1, d2 = self.d1, self.d2
-        n1, n2 = d1.n, d2.n
         s1, e1 = np.array([(m.start, m.end) for m in d1.nodes], dtype=float).T
         s2, e2 = np.array([(m.start, m.end) for m in d2.nodes], dtype=float).T
         inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
@@ -128,12 +124,12 @@ class PairSolver:
             allowed = ids1[:, None] == ids2[None, :]
         # F[p, q]: best weight of p's and q's subtrees with p matched to q,
         # its IoU until the tables add the rest; virtual roots never match.
-        self.F = F = np.full((n1 + 1, n2 + 1), NEG)
-        np.copyto(F[:n1, :n2], weights, where=allowed)
+        self.F = F = np.full((d1.n + 1, d2.n + 1), NEG)
+        np.copyto(F[:-1, :-1], weights, where=allowed)
         top2 = _paths(d2.first)
         cols = self._columns(sorted(top2.values()))
         # each second-tree node's column: its descendants' prefix
-        into = np.arange(n2) + [cols[3][top2[f]] - f for f in d2.first[:n2].tolist()]
+        into = np.arange(d2.n) + [cols[3][top2[f]] - f for f in d2.first[:-1].tolist()]
         for k in sorted(_paths(d1.first).values()):
             if d1.first[k] < k:
                 G = self._table(k, cols, into)
@@ -144,7 +140,8 @@ class PairSolver:
 
         Segment k's column j > 0 adds node ``w = first[k] + j - 1``, whose
         legal predecessors end at column ``pred``; column 0 takes the
-        virtual root, never matched. ``z.real`` numbers the segments."""
+        virtual root, never matched. ``z.real`` numbers the segments.
+        """
         first = self.d2.first
         ks = np.array(keyroots)
         width = ks - first[ks] + 1
@@ -163,7 +160,8 @@ class PairSolver:
 
         Complex numbers order by real part first, so the running maximum
         restarts per segment. Given ``into``, each node's column, rows
-        also complete F for the nodes on k's path, k last."""
+        also complete F for the nodes on k's path, k last.
+        """
         first, F = self.d1.first, self.F
         lo = first[k]
         w, pred, z, _ = cols
@@ -183,11 +181,14 @@ class PairSolver:
             F[k, :-1] += G[-1].take(into)
         return G
 
+    # -- public queries -----------------------------------------------
+
     def subtree_objective(self, p: TreeNode, q: TreeNode) -> float:
         """Best alignment weight for the two subtrees with p matched to q.
 
         Returns -inf in labeled mode when the labels differ (the two
-        roots cannot be matched at all)."""
+        roots cannot be matched at all).
+        """
         value = self.F[self.d1.nodes.index(p), self.d2.nodes.index(q)]
         return float("-inf") if value <= NEG / 2 else float(value)
 

@@ -119,7 +119,7 @@ def oracle_alignment(
         )
     idx1, idx2 = TreeIndex(t1), TreeIndex(t2)
     n1, n2 = len(idx1.nodes), len(idx2.nodes)
-    weights = _iou_matrix(idx1.nodes, idx2.nodes)
+    weights = _iou_matrix(idx1.starts, idx1.ends, idx2.starts, idx2.ends)
     if mode is MatchMode.LABELED:
         labels1 = [m.label for m in idx1.nodes]
         labels2 = [m.label for m in idx2.nodes]
@@ -182,16 +182,16 @@ def oracle_alignment(
     return Alignment(pairs=pairs, objective=float(best_val))
 
 
-def _iou_matrix(nodes1: list[TreeNode], nodes2: list[TreeNode]) -> np.ndarray:
-    s1, e1 = np.array([(m.start, m.end) for m in nodes1], dtype=float).T
-    s2, e2 = np.array([(m.start, m.end) for m in nodes2], dtype=float).T
+def _iou_matrix(s1, e1, s2, e2) -> np.ndarray:
+    """IoU of every interval (s1, e1) with every interval (s2, e2)."""
     inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
     np.clip(inter, 0.0, None, out=inter)
     return inter / ((e1 - s1)[:, None] + (e2 - s2) - inter)
 
 
-def _postorder(tree: ParseTree) -> tuple[list[TreeNode], list[int]]:
-    """Nodes in postorder, and each one's leftmost leaf descendant."""
+def _postorder(tree: ParseTree):
+    """Nodes in postorder, each one's leftmost leaf descendant, and the
+    nodes' start and end times."""
     nodes: list[TreeNode] = []
     lml: list[int] = []
 
@@ -203,7 +203,8 @@ def _postorder(tree: ParseTree) -> tuple[list[TreeNode], list[int]]:
         nodes.append(node)
 
     walk(tree.root)
-    return nodes, lml
+    spans = np.array([(m.start, m.end) for m in nodes], dtype=float).T
+    return nodes, lml, spans
 
 
 def ted_objective(
@@ -219,8 +220,9 @@ def ted_objective(
     size guard.
     """
     mode = MatchMode.coerce(mode)
-    (nodes1, lml1), (nodes2, lml2) = _postorder(t1), _postorder(t2)
-    rename = 1.0 - _iou_matrix(nodes1, nodes2)
+    nodes1, lml1, spans1 = _postorder(t1)
+    nodes2, lml2, spans2 = _postorder(t2)
+    rename = 1.0 - _iou_matrix(*spans1, *spans2)
     if mode is MatchMode.LABELED:
         labels1 = np.array([m.label for m in nodes1])
         labels2 = np.array([m.label for m in nodes2])

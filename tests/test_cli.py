@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from structiou.cli import main
-from structiou.oracle import random_timed_tree
+from structiou.oracle import random_timed_tree, ted_objective
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
@@ -417,16 +417,20 @@ class TestOracleCheck:
 
     def test_pairs_above_guard_use_ted(self, monkeypatch, capsys):
         # seed 4 draws 32x27, 35x31 and 25x26 nodes, all above the
-        # 400-pair branch-and-bound guard
-        def barred(*args):
-            raise AssertionError("branch and bound called above its guard")
+        # 400-pair branch-and-bound guard, so TED is the reference each time
+        calls = []
 
-        monkeypatch.setattr("structiou.cli.oracle_alignment", barred)
+        def counted(*args):
+            calls.append(args)
+            return ted_objective(*args)
+
+        monkeypatch.setattr("structiou.cli.ted_objective", counted)
         code = main([
             "oracle-check", "--trials", "3", "--max-nodes", "40", "--seed", "4",
         ])
         assert code == 0
         assert "passed=3" in capsys.readouterr().out
+        assert len(calls) == 3
 
     def test_ted_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("structiou.cli.ted_objective", lambda *args: 1e6)

@@ -5,18 +5,20 @@ Usage (from the repository root):
     python3 tools/record_bench.py --out BENCH_6.json \
         --checkout before=/path/to/parent/checkout --checkout after=.
 
-For every checkout it runs ``python3 bench/run.py --seed 0 --trace 0`` on
-the workloads of ``BENCHMARK.json``, for its ``run_seconds``, and a
-single-pair sweep: a
-``random_binary_tree`` and a right-branching chain at 25, 50, 100 and 200
-words, each against a boundary-jittered copy of itself, recording the
-median wall time of ``max_weight_alignment`` over up to 5 solves (fewer
-once they took 10 s) and the ``tracemalloc`` peak of one more.
+For every checkout it runs ``python3 bench/run.py --seed 0 --trace 0``
+``ROUNDS`` times on each workload of ``BENCHMARK.json``, for its
+``run_seconds``, and a single-pair sweep: a ``random_binary_tree`` and a
+right-branching chain at 25, 50, 100 and 200 words, each against a
+boundary-jittered copy of itself, recording the median wall time of
+``max_weight_alignment`` over up to 5 solves (fewer once they took 10 s)
+and the ``tracemalloc`` peak of one more.
 Each measurement runs in a fresh process that imports structiou from that
 checkout's ``src/``. Checkouts take turns on every measurement, and the
 order flips each round, because the host's CPU speed drifts by tens of
-percent over minutes. The file also records the Python and numpy
-versions and the core count.
+percent over minutes. Bytecode is compiled in every checkout first, so
+that ``setup_s`` compares imports on equal terms even where
+``PYTHONDONTWRITEBYTECODE`` stops imports from caching it. The file also
+records the Python and numpy versions and the core count.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("binary", "chain")
 WORDS = (25, 50, 100, 200)
 JITTER = 0.3
+ROUNDS = 10  # bench/run.py runs per workload and checkout
 REPS = 5
 BUDGET_S = 10.0
 
@@ -112,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--checkout", action="append", metavar="NAME=DIR",
                         help="a checkout to measure (default: this one as 'after')")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="bench/run.py runs per workload and checkout")
     parser.add_argument("--pair", nargs=3, metavar=("SRC", "SHAPE", "WORDS"),
                         help=argparse.SUPPRESS)  # one sweep point, in a child process
     args = parser.parse_args(argv)
@@ -131,10 +132,12 @@ def main(argv: list[str] | None = None) -> int:
     for spec in args.checkout or [f"after={ROOT}"]:
         name, _, directory = spec.partition("=")
         checkouts[name] = Path(directory).resolve()
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                       cwd=checkouts[name], check=True)
     import numpy
 
     record = {
-        "options": {"rounds": args.rounds, "seconds": seconds, "seed": 0, "trace": 0,
+        "options": {"rounds": ROUNDS, "seconds": seconds, "seed": 0, "trace": 0,
                     "words": list(WORDS), "reps": REPS, "budget_s": BUDGET_S},
         "environment": {
             "python": platform.python_version(),
@@ -151,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         names = list(checkouts)
         return names if k % 2 == 0 else names[::-1]
 
-    for k in range(args.rounds):
+    for k in range(ROUNDS):
         for workload in workloads:
             for name in turns(k):
                 line = run_json([sys.executable, "bench/run.py", "--workload", workload,
