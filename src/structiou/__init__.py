@@ -8,7 +8,7 @@ from .ambiguity import (
     random_binary_tree,
     template_words,
 )
-from .intervals import OpenInterval, intersection_size, iou, length, union_size
+from .intervals import OpenInterval, iou
 from .metric import CorpusScore, SentenceScore, struct_iou_corpus, struct_iou_sentence
 from .oracle import (
     OracleVariant,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .treebank import ParseTree, TreeNode
+from .intervals import iou_matrix
+from .treebank import ParseTree, TreeNode, postorder
 
 __all__ = [
     "MatchMode",
@@ -64,19 +65,9 @@ class _TreeData:
     """A tree's nodes in postorder, with a virtual root at index n."""
 
     def __init__(self, tree: ParseTree):
-        self.nodes: list[TreeNode] = []
-        seen: list[tuple[int, int]] = []  # (first, depth) per node
-
-        def walk(node: TreeNode, depth: int):
-            lo = len(self.nodes)
-            for child in node.children:
-                walk(child, depth + 1)
-            seen.append((lo, depth))
-            self.nodes.append(node)
-
-        walk(tree.root, 0)
+        self.nodes, first, depth = postorder(tree)
         self.n = n = len(self.nodes)
-        first, depth = np.array(seen, dtype=np.int64).T
+        first, depth = np.array((first, depth), dtype=np.int64)
         self.rank = np.arange(n)
         self.first = np.append(first, 0)
         # ``flipped`` is ``first`` in the mirrored postorder: this preorder
@@ -113,9 +104,7 @@ class PairSolver:
         d1, d2 = self.d1, self.d2
         s1, e1 = np.array([(m.start, m.end) for m in d1.nodes], dtype=float).T
         s2, e2 = np.array([(m.start, m.end) for m in d2.nodes], dtype=float).T
-        inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
-        np.clip(inter, 0.0, None, out=inter)
-        weights = inter / ((e1 - s1)[:, None] + (e2 - s2) - inter)
+        weights = iou_matrix(s1, e1, s2, e2)
         allowed = True
         if self.mode is MatchMode.LABELED:
             lab2 = {}

@@ -34,7 +34,7 @@ from .errors import UsageError
 from .intervals import OpenInterval
 from .metric import struct_iou_sentence
 from .parseval import parseval_f1
-from .treebank import ParseTree, TreeNode, project_even
+from .treebank import ParseTree, TreeNode
 
 __all__ = [
     "template_words",
@@ -169,16 +169,14 @@ def ambiguity_report(
         raise UsageError(
             f"gt-index {gt_index} out of range for {len(family)} plausible trees"
         )
-    truth = strip_single_word_phrases(project_even(family[gt_index]))
+    truth = strip_single_word_phrases(family[gt_index])
     word_count = 2 * n + 1
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     f1_sum = 0.0
     iou_sum = 0.0
     for _ in range(samples):
-        sample = strip_single_word_phrases(
-            project_even(random_binary_tree(word_count, rng))
-        )
+        sample = strip_single_word_phrases(random_binary_tree(word_count, rng))
         f1_sum += parseval_f1(truth, sample, "unlabeled").f1
         iou_sum += struct_iou_sentence(truth, sample, "unlabeled").value
 
@@ -187,7 +185,7 @@ def ambiguity_report(
     for i, other in enumerate(family):
         if i == gt_index:
             continue
-        other = strip_single_word_phrases(project_even(other))
+        other = strip_single_word_phrases(other)
         f1_low = min(f1_low, parseval_f1(truth, other, "unlabeled").f1)
         iou_low = min(iou_low, struct_iou_sentence(truth, other, "unlabeled").value)
     if len(family) == 1:

@@ -86,24 +86,28 @@ def _mode(args) -> MatchMode:
     return MatchMode.UNLABELED if args.unlabeled else MatchMode.LABELED
 
 
-def _read_trees(path: str) -> list[ParseTree]:
+def _read(path: str, reader):
+    """Run ``reader`` over the file, naming the file in its errors."""
     try:
         with open(path, encoding="utf-8") as f:
-            return read_tree_file(f)
+            return reader(f)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _read_bounds(path: str) -> list[BoundaryTable]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return read_boundary_file(f)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror}") from exc
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+def _read_corpora(args) -> tuple[list[ParseTree], list[ParseTree]]:
+    """The gold and predicted tree files, checked to pair up."""
+    gold = _read(args.gold, read_tree_file)
+    pred = _read(args.pred, read_tree_file)
+    if len(gold) != len(pred):
+        raise DataError(
+            f"gold has {len(gold)} trees but pred has {len(pred)}"
+        )
+    if not gold:
+        raise DataError("empty corpus")
+    return gold, pred
 
 
 def _project_corpus(
@@ -111,7 +115,7 @@ def _project_corpus(
 ) -> list[ParseTree]:
     if even:
         return [project_even(t) for t in trees]
-    tables = _read_bounds(bounds_path)
+    tables = _read(bounds_path, read_boundary_file)
     if len(tables) != len(trees):
         raise DataError(
             f"{role}: {len(trees)} trees but {len(tables)} boundary blocks"
@@ -130,14 +134,7 @@ def _project_corpus(
 
 
 def cmd_eval(args) -> int:
-    gold = _read_trees(args.gold)
-    pred = _read_trees(args.pred)
-    if len(gold) != len(pred):
-        raise DataError(
-            f"gold has {len(gold)} trees but pred has {len(pred)}"
-        )
-    if not gold:
-        raise DataError("empty corpus")
+    gold, pred = _read_corpora(args)
     gold_t = _project_corpus(gold, args.gold_bounds, args.even, "gold")
     pred_t = _project_corpus(pred, args.pred_bounds, args.even, "pred")
     corpus = struct_iou_corpus(
@@ -181,14 +178,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    gold = _read_trees(args.gold)
-    pred = _read_trees(args.pred)
-    if len(gold) != len(pred):
-        raise DataError(
-            f"gold has {len(gold)} trees but pred has {len(pred)}"
-        )
-    if not gold:
-        raise DataError("empty corpus")
+    gold, pred = _read_corpora(args)
     mode = _mode(args)
     scores = [parseval_f1(g, p, mode) for g, p in zip(gold, pred)]
     matched = sum(s.matched for s in scores)
@@ -234,8 +224,10 @@ def cmd_parseval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    trees = _read_trees(args.gold)
-    tables = [compact_silence(t) for t in _read_bounds(args.gold_bounds)]
+    trees = _read(args.gold, read_tree_file)
+    tables = [
+        compact_silence(t) for t in _read(args.gold_bounds, read_boundary_file)
+    ]
     if len(trees) != len(tables):
         raise DataError(
             f"{len(trees)} trees but {len(tables)} boundary blocks"

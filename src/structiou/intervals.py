@@ -1,12 +1,14 @@
 """Arithmetic on real-valued open intervals.
 
-All scoring downstream reduces to sums and ratios of the four operations
-here, so they use plain double precision with no comparison epsilon.
+All scoring downstream reduces to sums of the interval IoU computed
+here, in plain double precision with no comparison epsilon.
 Degenerate intervals are rejected at construction instead (length below
 ``MIN_LENGTH`` seconds).
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 # Validation threshold for degenerate intervals, in seconds.
 MIN_LENGTH = 1e-9
@@ -27,24 +29,21 @@ class OpenInterval:
             )
 
 
-def length(i: OpenInterval) -> float:
-    return i.end - i.start
-
-
-def intersection_size(i1: OpenInterval, i2: OpenInterval) -> float:
-    """Length of the overlap; 0 for disjoint intervals.
+def iou(i1: OpenInterval, i2: OpenInterval) -> float:
+    """Intersection over union; 1 iff the intervals are equal, 0 iff disjoint.
 
     Open intervals that merely touch at an endpoint do not intersect.
     """
-    lo = max(i1.start, i2.start)
-    hi = min(i1.end, i2.end)
-    return hi - lo if hi > lo else 0.0
+    inter = max(min(i1.end, i2.end) - max(i1.start, i2.start), 0.0)
+    return inter / ((i1.end - i1.start) + (i2.end - i2.start) - inter)
 
 
-def union_size(i1: OpenInterval, i2: OpenInterval) -> float:
-    return length(i1) + length(i2) - intersection_size(i1, i2)
+def iou_matrix(s1, e1, s2, e2) -> np.ndarray:
+    """IoU of every interval (s1, e1) with every interval (s2, e2).
 
-
-def iou(i1: OpenInterval, i2: OpenInterval) -> float:
-    """Intersection over union; 1 iff the intervals are equal, 0 iff disjoint."""
-    return intersection_size(i1, i2) / union_size(i1, i2)
+    The same arithmetic, in the same order, as ``iou``, so each entry
+    equals the scalar result bit for bit.
+    """
+    inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
+    np.clip(inter, 0.0, None, out=inter)
+    return inter / ((e1 - s1)[:, None] + (e2 - s2) - inter)

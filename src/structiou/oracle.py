@@ -15,8 +15,8 @@ solver instead: the objective recast as Zhang & Shasha's tree edit
 distance, computed by a plain scalar program.
 
 It also holds the two ancestry helpers that the audit and the tests use
-to check alignments: a preorder index with O(1) ancestor queries, and
-the pairwise conflict test.
+to check alignments: a postorder view of a tree, where node j lies below
+node i iff ``first[i] <= j < i``, and the pairwise conflict test.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .align import Alignment, MatchMode
 from .errors import CapacityError
-from .intervals import OpenInterval
-from .treebank import ParseTree, TreeNode, iter_nodes
+from .intervals import OpenInterval, iou_matrix
+from .treebank import ParseTree, TreeNode, postorder
 
 __all__ = [
     "OracleVariant",
@@ -39,44 +39,29 @@ __all__ = [
     "ted_objective",
 ]
 
-MAX_PAIR_PRODUCT = 400
+MAX_PAIR_PRODUCT = 200
 
 
 class TreeIndex:
-    """Preorder indexing of a tree with O(1) ancestry queries."""
+    """Postorder view of a tree with O(1) ancestry queries."""
 
     def __init__(self, tree: ParseTree):
         self.tree = tree
-        self.nodes: list[TreeNode] = list(iter_nodes(tree.root))
+        self.nodes, first, _ = postorder(tree)
+        self.first = np.array(first, dtype=np.int64)
         self.index = {id(n): i for i, n in enumerate(self.nodes)}
-        n = len(self.nodes)
-        # subtree_end[i]: one past the last preorder index inside i's subtree
-        self.subtree_end = np.empty(n, dtype=np.int64)
-
-        def walk(node: TreeNode) -> int:
-            i = self.index[id(node)]
-            end = i + 1
-            for c in node.children:
-                end = walk(c)
-            self.subtree_end[i] = end
-            return end
-
-        walk(tree.root)
         self.starts = np.array([m.start for m in self.nodes], dtype=float)
         self.ends = np.array([m.end for m in self.nodes], dtype=float)
 
     def is_ancestor(self, p: TreeNode, q: TreeNode) -> bool:
         """True iff p is a strict ancestor of q."""
         i, j = self.index[id(p)], self.index[id(q)]
-        return i < j < self.subtree_end[i]
+        return self.first[i] <= j < i
 
     def ancestor_matrix(self) -> np.ndarray:
         """anc[i, j] is True iff node i is a strict ancestor of node j."""
-        n = len(self.nodes)
-        idx = np.arange(n)
-        return (idx[:, None] < idx[None, :]) & (
-            idx[None, :] < self.subtree_end[:, None]
-        )
+        idx = np.arange(len(self.nodes))
+        return (self.first[:, None] <= idx) & (idx < idx[:, None])
 
 
 def conflicted(
@@ -119,7 +104,7 @@ def oracle_alignment(
         )
     idx1, idx2 = TreeIndex(t1), TreeIndex(t2)
     n1, n2 = len(idx1.nodes), len(idx2.nodes)
-    weights = _iou_matrix(idx1.starts, idx1.ends, idx2.starts, idx2.ends)
+    weights = iou_matrix(idx1.starts, idx1.ends, idx2.starts, idx2.ends)
     if mode is MatchMode.LABELED:
         labels1 = [m.label for m in idx1.nodes]
         labels2 = [m.label for m in idx2.nodes]
@@ -182,31 +167,6 @@ def oracle_alignment(
     return Alignment(pairs=pairs, objective=float(best_val))
 
 
-def _iou_matrix(s1, e1, s2, e2) -> np.ndarray:
-    """IoU of every interval (s1, e1) with every interval (s2, e2)."""
-    inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
-    np.clip(inter, 0.0, None, out=inter)
-    return inter / ((e1 - s1)[:, None] + (e2 - s2) - inter)
-
-
-def _postorder(tree: ParseTree):
-    """Nodes in postorder, each one's leftmost leaf descendant, and the
-    nodes' start and end times."""
-    nodes: list[TreeNode] = []
-    lml: list[int] = []
-
-    def walk(node: TreeNode):
-        lo = len(nodes)
-        for child in node.children:
-            walk(child)
-        lml.append(lo)
-        nodes.append(node)
-
-    walk(tree.root)
-    spans = np.array([(m.start, m.end) for m in nodes], dtype=float).T
-    return nodes, lml, spans
-
-
 def ted_objective(
     t1: ParseTree, t2: ParseTree, mode: MatchMode | str = MatchMode.LABELED
 ) -> float:
@@ -220,15 +180,15 @@ def ted_objective(
     size guard.
     """
     mode = MatchMode.coerce(mode)
-    nodes1, lml1, spans1 = _postorder(t1)
-    nodes2, lml2, spans2 = _postorder(t2)
-    rename = 1.0 - _iou_matrix(*spans1, *spans2)
+    idx1, idx2 = TreeIndex(t1), TreeIndex(t2)
+    rename = 1.0 - iou_matrix(idx1.starts, idx1.ends, idx2.starts, idx2.ends)
     if mode is MatchMode.LABELED:
-        labels1 = np.array([m.label for m in nodes1])
-        labels2 = np.array([m.label for m in nodes2])
+        labels1 = np.array([m.label for m in idx1.nodes])
+        labels2 = np.array([m.label for m in idx2.nodes])
         rename[labels1[:, None] != labels2] = np.inf
     rename = rename.tolist()
-    td = [[0.0] * len(nodes2) for _ in nodes1]  # subtree-to-subtree distance
+    lml1, lml2 = idx1.first.tolist(), idx2.first.tolist()
+    td = [[0.0] * len(lml2) for _ in lml1]  # subtree-to-subtree distance
     for k1 in sorted({l: k for k, l in enumerate(lml1)}.values()):
         for k2 in sorted({l: k for k, l in enumerate(lml2)}.values()):
             l1, l2 = lml1[k1], lml2[k2]
@@ -247,7 +207,7 @@ def ted_objective(
                     else:
                         best = min(best, fd[lml1[x] - l1][lml2[y] - l2] + td[x][y])
                     fd[i][j] = best
-    return (len(nodes1) + len(nodes2)) / 2 - td[-1][-1]
+    return (len(lml1) + len(lml2)) / 2 - td[-1][-1]
 
 
 def random_timed_tree(

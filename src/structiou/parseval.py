@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .align import MatchMode
 from .errors import DataError
-from .treebank import ParseTree, TreeNode, leaves
+from .treebank import ParseTree, leaves, postorder
 
 __all__ = ["BracketSpan", "bracket_spans", "parseval_f1", "ParsevalScore"]
 
@@ -40,19 +41,14 @@ def bracket_spans(tree: ParseTree) -> Counter:
     Word positions are leaf positions, so the result is independent of
     whatever time projection the tree carries.
     """
-    spans: Counter = Counter()
-
-    def walk(node: TreeNode, at: int) -> int:
-        if node.is_leaf:
-            return at + 1
-        cur = at
-        for child in node.children:
-            cur = walk(child, cur)
-        spans[BracketSpan(node.label, at, cur)] += 1
-        return cur
-
-    walk(tree.root, 0)
-    return spans
+    nodes, first, _ = postorder(tree)
+    # words_before[k]: how many of the first k postorder nodes are leaves
+    words_before = list(accumulate((f == i for i, f in enumerate(first)), initial=0))
+    return Counter(
+        BracketSpan(node.label, words_before[first[i]], words_before[i])
+        for i, node in enumerate(nodes)
+        if not node.is_leaf
+    )
 
 
 def parseval_f1(

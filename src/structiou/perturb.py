@@ -28,7 +28,7 @@ from .treebank import (
     BoundaryTable,
     ParseTree,
     TreeNode,
-    leaves,
+    postorder,
 )
 
 __all__ = [
@@ -199,8 +199,11 @@ def _merge_words(
     tree: ParseTree, table: BoundaryTable, k: int
 ) -> tuple[ParseTree, BoundaryTable]:
     """Merge words k and k+1 of a projected tree and its table."""
-    left_leaf, right_leaf = leaves(tree.root)[k : k + 2]
-    lca = _lowest_common_ancestor(tree.root, left_leaf, right_leaf)
+    nodes, first, _ = postorder(tree)
+    a, b = [i for i, f in enumerate(first) if f == i][k : k + 2]
+    # the lowest node after b (in postorder) whose subtree reaches back to a
+    lca = nodes[next(j for j in range(b + 1, len(nodes)) if first[j] <= a)]
+    left_leaf, right_leaf = nodes[a], nodes[b]
     merged = TreeNode(
         left_leaf.label,
         OpenInterval(left_leaf.start, right_leaf.end),
@@ -221,8 +224,6 @@ def _merge_words(
         hull = OpenInterval(min(c.start for c in kids), max(c.end for c in kids))
         return TreeNode(node.label, hull, children=tuple(kids))
 
-    if tree.root is left_leaf or tree.root is right_leaf:
-        raise DataError("cannot merge words of a single-leaf tree")
     root = rebuild(tree.root)
     assert root is not None
 
@@ -232,34 +233,6 @@ def _merge_words(
     )
     rows = table.rows[:k] + (merged_row,) + table.rows[k + 2 :]
     return ParseTree(root), BoundaryTable(rows)
-
-
-def _lowest_common_ancestor(root: TreeNode, a: TreeNode, b: TreeNode) -> TreeNode:
-    path_a = _path_to(root, a)
-    path_b = _path_to(root, b)
-    lca = root
-    for x, y in zip(path_a, path_b):
-        if x is not y:
-            break
-        lca = x
-    return lca
-
-
-def _path_to(root: TreeNode, target: TreeNode) -> list[TreeNode]:
-    path: list[TreeNode] = []
-
-    def walk(node: TreeNode) -> bool:
-        path.append(node)
-        if node is target:
-            return True
-        for c in node.children:
-            if walk(c):
-                return True
-        path.pop()
-        return False
-
-    walk(root)
-    return path
 
 
 def apply_perturbation(

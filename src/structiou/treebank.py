@@ -37,6 +37,7 @@ __all__ = [
     "validate",
     "iter_nodes",
     "leaves",
+    "postorder",
 ]
 
 PLACEHOLDER_WORD = "<W>"
@@ -112,6 +113,31 @@ def iter_nodes(node: TreeNode) -> Iterator[TreeNode]:
 
 def leaves(node: TreeNode) -> list[TreeNode]:
     return [n for n in iter_nodes(node) if n.is_leaf]
+
+
+def postorder(tree: ParseTree) -> tuple[list[TreeNode], list[int], list[int]]:
+    """The tree's nodes in postorder, each one's first descendant, and depth.
+
+    ``first[i]`` is the postorder index of node i's leftmost leaf (i itself
+    for a leaf), so node j lies strictly below node i iff
+    ``first[i] <= j < i``: Zhang & Shasha's leftmost-descendant numbering.
+    ``depth[i]`` counts node i's strict ancestors.
+    """
+    nodes: list[TreeNode] = []
+    first: list[int] = []
+    depth: list[int] = []
+    # (node, depth, index of its first descendant, or -1 before its children)
+    stack = [(tree.root, 0, -1)]
+    while stack:
+        node, d, lo = stack.pop()
+        if lo < 0 and node.children:
+            stack.append((node, d, len(nodes)))
+            stack.extend((c, d + 1, -1) for c in reversed(node.children))
+            continue
+        first.append(len(nodes) if lo < 0 else lo)
+        depth.append(d)
+        nodes.append(node)
+    return nodes, first, depth
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +372,11 @@ def project_to_time(tree: ParseTree, table: BoundaryTable) -> ParseTree:
 
 def project_even(tree: ParseTree) -> ParseTree:
     """Assign leaf k the unit interval (k, k+1), recomputing hulls."""
-    counter = [0]
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            k = counter[0]
-            counter[0] += 1
-            return TreeNode(
-                node.label, OpenInterval(float(k), float(k + 1)), word=node.word
-            )
-        kids = tuple(rebuild(c) for c in node.children)
-        return TreeNode(node.label, _hull(kids), children=kids)
-
-    return ParseTree(rebuild(tree.root))
+    rows = tuple(
+        BoundaryRow(leaf.word or PLACEHOLDER_WORD, float(k), float(k + 1))
+        for k, leaf in enumerate(leaves(tree.root))
+    )
+    return project_to_time(tree, BoundaryTable(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +391,7 @@ def validate(tree: ParseTree) -> list[str]:
     with no ancestry relation have disjoint intervals.
     """
     problems: list[str] = []
-    nodes = list(iter_nodes(tree.root))
+    nodes, first, _ = postorder(tree)
 
     for n in nodes:
         if n.end - n.start <= 0:
@@ -397,19 +415,11 @@ def validate(tree: ParseTree) -> list[str]:
                 )
 
     # Non-ancestry pairs must be disjoint (and ancestry pairs must not be).
-    related: set[tuple[int, int]] = set()
-
-    def mark(node: TreeNode):
-        for d in iter_nodes(node):
-            if d is not node:
-                related.add((id(node), id(d)))
-        for c in node.children:
-            mark(c)
-
-    mark(tree.root)
+    # In postorder a later node j is related to i iff it is i's ancestor.
     for i, p in enumerate(nodes):
-        for q in nodes[i + 1 :]:
-            rel = (id(p), id(q)) in related or (id(q), id(p)) in related
+        for j in range(i + 1, len(nodes)):
+            q = nodes[j]
+            rel = first[j] <= i
             overlap = min(p.end, q.end) - max(p.start, q.start) > 0
             if rel and not overlap:
                 problems.append(

@@ -18,7 +18,7 @@ from structiou.ambiguity import (
     strip_single_word_phrases,
     template_words,
 )
-from structiou.intervals import OpenInterval, intersection_size, iou
+from structiou.intervals import OpenInterval, iou
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import OracleVariant, oracle_alignment, random_timed_tree
 from structiou.perturb import PerturbSpec, apply_perturbation, sentence_rng
@@ -125,7 +125,6 @@ def test_criterion_3_structural_invariants():
         chosen.sort(key=lambda c: c.start)
         for a, b in zip(chosen, chosen[1:]):
             assert a.end <= b.start
-            assert intersection_size(a.interval, b.interval) == 0.0
             assert iou(a.interval, b.interval) == 0.0
 
         if trees % 10 == 0:

@@ -417,7 +417,7 @@ class TestOracleCheck:
 
     def test_pairs_above_guard_use_ted(self, monkeypatch, capsys):
         # seed 4 draws 32x27, 35x31 and 25x26 nodes, all above the
-        # 400-pair branch-and-bound guard, so TED is the reference each time
+        # 200-pair branch-and-bound guard, so TED is the reference each time
         calls = []
 
         def counted(*args):
@@ -431,6 +431,14 @@ class TestOracleCheck:
         assert code == 0
         assert "passed=3" in capsys.readouterr().out
         assert len(calls) == 3
+
+    def test_trees_up_to_30_nodes_pass(self, capsys):
+        # mixes branch and bound (products up to the guard) with TED above it
+        code = main([
+            "oracle-check", "--trials", "40", "--max-nodes", "30", "--seed", "0",
+        ])
+        assert code == 0
+        assert "passed=40" in capsys.readouterr().out
 
     def test_ted_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("structiou.cli.ted_objective", lambda *args: 1e6)

@@ -1,45 +1,20 @@
 import numpy as np
 import pytest
 
-from structiou.intervals import (
-    OpenInterval,
-    intersection_size,
-    iou,
-    length,
-    union_size,
-)
-
-
-def test_length_examples():
-    assert length(OpenInterval(2.56, 3.01)) == pytest.approx(0.45)
-    assert length(OpenInterval(0, 1)) == 1
-    assert length(OpenInterval(1.5, 4.0)) == 2.5
-
-
-def test_intersection_examples():
-    assert intersection_size(OpenInterval(0, 1), OpenInterval(1, 2)) == 0
-    assert intersection_size(OpenInterval(0, 2), OpenInterval(1, 3)) == 1
-    assert intersection_size(
-        OpenInterval(2.56, 2.72), OpenInterval(2.51, 2.70)
-    ) == pytest.approx(0.14)
-
-
-def test_union_examples():
-    a, b = OpenInterval(0, 1), OpenInterval(0, 1)
-    assert union_size(a, b) == 1
-    assert union_size(OpenInterval(0, 1), OpenInterval(2, 3)) == 2
-    # 0.16 + 0.19 - 0.14
-    assert union_size(
-        OpenInterval(2.56, 2.72), OpenInterval(2.51, 2.70)
-    ) == pytest.approx(0.21)
+from structiou.intervals import OpenInterval, iou, iou_matrix
 
 
 def test_iou_examples():
     assert iou(OpenInterval(0, 2), OpenInterval(1, 3)) == pytest.approx(1 / 3)
     assert iou(OpenInterval(5, 9), OpenInterval(5, 9)) == 1.0
+    # overlap 0.14 over union 0.16 + 0.19 - 0.14
     assert iou(
         OpenInterval(2.56, 2.72), OpenInterval(2.51, 2.70)
     ) == pytest.approx(0.14 / 0.21)
+    assert iou(OpenInterval(0, 1), OpenInterval(2, 3)) == 0.0
+    assert iou(OpenInterval(0, 1), OpenInterval(1, 2)) == 0.0  # touching
+    # nested: the inner interval's length over the outer one's
+    assert iou(OpenInterval(1.5, 4.0), OpenInterval(0, 10)) == 0.25
 
 
 def test_degenerate_interval_rejected():
@@ -60,10 +35,11 @@ def test_random_properties():
         c0 = rng.integers(0, 3)
         b = OpenInterval(pts[c0], pts[rng.integers(c0 + 1, 4)])
         assert iou(a, b) == iou(b, a)
-        assert intersection_size(a, b) == intersection_size(b, a)
         assert 0.0 <= iou(a, b) <= 1.0
         assert iou(a, a) == 1.0
-        assert union_size(a, b) >= max(length(a), length(b)) - 1e-12
+        # overlap at most the shorter length, union at least the longer
+        la, lb = a.end - a.start, b.end - b.start
+        assert iou(a, b) <= min(la, lb) / max(la, lb) + 1e-12
 
 
 def test_touching_intervals_disjoint():
@@ -73,5 +49,18 @@ def test_touching_intervals_disjoint():
         y = max(y, x + 1e-3)
         z = max(z, y + 1e-3)
         a, b = OpenInterval(x, y), OpenInterval(y, z)
-        assert intersection_size(a, b) == 0.0
         assert iou(a, b) == 0.0
+
+
+def test_iou_matrix_equals_scalar_iou():
+    rng = np.random.default_rng(3)
+    pts = np.sort(rng.uniform(-5, 5, size=12))
+    spans = [(pts[i], pts[j]) for i in range(12) for j in range(i + 1, 12, 3)]
+    spans += [(0.0, 1.0), (1.0, 2.0), (0.0, 2.0), (0.5, 1.5), (7.0, 8.0)]
+    s, e = np.array(spans).T
+    got = iou_matrix(s, e, s, e)
+    for i, a in enumerate(spans):
+        for j, b in enumerate(spans):
+            # bitwise: the solver's weights and the scalar reference agree
+            assert got[i, j] == iou(OpenInterval(*a), OpenInterval(*b))
+    assert (got[np.arange(len(spans)), np.arange(len(spans))] == 1.0).all()

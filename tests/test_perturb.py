@@ -181,6 +181,28 @@ class TestDelete:
         assert validate(out_tree) == []
         assert [r.word for r in out_table.rows] == ["xy", "z"]
 
+    def test_merge_below_root(self):
+        # y and z meet under C, not under the root
+        tree = project_to_time(
+            parse_bracketed("(A (B x) (C (D y) (E z)))"),
+            table(("x", 0, 1), ("y", 1, 2), ("z", 2, 3)),
+        )
+
+        class Stub:
+            def uniform(self, lo, hi, size=None):
+                return np.array([1.0, 0.0])  # delete the y|z boundary only
+
+        out_tree, out_table = perturb_delete(
+            tree, table(("x", 0, 1), ("y", 1, 2), ("z", 2, 3)), 0.5, Stub()
+        )
+        assert serialize_bracketed(out_tree) == "(A (B x) (C (D yz)))"
+        assert (out_tree.root.children[1].start, out_tree.root.children[1].end) == (
+            1.0,
+            3.0,
+        )
+        assert validate(out_tree) == []
+        assert [r.word for r in out_table.rows] == ["x", "yz"]
+
     def test_all_boundaries_deleted(self):
         tree = project_to_time(
             parse_bracketed("(S (A a) (B b) (C c))"),

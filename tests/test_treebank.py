@@ -12,6 +12,7 @@ from structiou.treebank import (
     iter_nodes,
     leaves,
     parse_bracketed,
+    postorder,
     project_even,
     project_to_time,
     read_boundary_file,
@@ -251,6 +252,37 @@ class TestProjection:
         assert [(l.start, l.end) for l in leaves(two.root)] == [(0, 1), (1, 2)]
         one = project_even(parse_bracketed("(X w)"))
         assert (one.root.start, one.root.end) == (0.0, 1.0)
+
+
+class TestPostorder:
+    @staticmethod
+    def check(tree):
+        nodes, first, depth = postorder(tree)
+        assert sorted(map(id, nodes)) == sorted(map(id, iter_nodes(tree.root)))
+        index = {id(n): i for i, n in enumerate(nodes)}
+
+        def walk(node, ancestors):
+            i = index[id(node)]
+            below = {id(d) for d in iter_nodes(node)} - {id(node)}
+            assert {id(d) for d in nodes[first[i] : i]} == below
+            assert depth[i] == ancestors
+            for c in node.children:
+                walk(c, ancestors + 1)
+
+        walk(tree.root, 0)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            self.check(random_timed_tree(rng, 30))
+
+    def test_chain(self):
+        words = 400
+        text = "".join(f"(X (W w{k}) " for k in range(words - 1))
+        tree = parse_bracketed(text + f"(W w{words - 1})" + ")" * (words - 1))
+        self.check(tree)
+        nodes, first, depth = postorder(tree)
+        assert first[-1] == 0 and max(depth) == words - 1
 
 
 class TestValidate:
