@@ -4,6 +4,34 @@ import pytest
 from structiou.intervals import OpenInterval, iou, iou_matrix
 
 
+def _overlap_and_union(a, b):
+    """Overlap and union length recovered from ``iou``: with r = I / (L - I)
+    and L the summed lengths, I = r L / (1 + r) and L - I = L / (1 + r)."""
+    r = iou(a, b)
+    total = (a.end - a.start) + (b.end - b.start)
+    return r * total / (1 + r), total / (1 + r)
+
+
+def test_intersection_examples():
+    assert _overlap_and_union(OpenInterval(0, 1), OpenInterval(1, 2))[0] == 0
+    assert _overlap_and_union(
+        OpenInterval(0, 2), OpenInterval(1, 3)
+    )[0] == pytest.approx(1)
+    assert _overlap_and_union(
+        OpenInterval(2.56, 2.72), OpenInterval(2.51, 2.70)
+    )[0] == pytest.approx(0.14)
+
+
+def test_union_examples():
+    a, b = OpenInterval(0, 1), OpenInterval(0, 1)
+    assert _overlap_and_union(a, b)[1] == 1
+    assert _overlap_and_union(OpenInterval(0, 1), OpenInterval(2, 3))[1] == 2
+    # 0.16 + 0.19 - 0.14
+    assert _overlap_and_union(
+        OpenInterval(2.56, 2.72), OpenInterval(2.51, 2.70)
+    )[1] == pytest.approx(0.21)
+
+
 def test_iou_examples():
     assert iou(OpenInterval(0, 2), OpenInterval(1, 3)) == pytest.approx(1 / 3)
     assert iou(OpenInterval(5, 9), OpenInterval(5, 9)) == 1.0
