@@ -23,6 +23,31 @@ from structiou.treebank import (
 )
 
 
+# input -> (message, offset of the token it names)
+SYNTAX_ERRORS = {
+    "": ("empty input", 0),
+    "(NP (PRP Your)": ("unbalanced parentheses", 0),
+    "(NP)": ("empty constituent", 0),
+    "()": ("constituent without a label", 1),
+    "(NN a b)": ("preterminal with multiple word tokens", 7),
+    "(NP (PRP Your) (NN turn)) junk": ("trailing content after tree", 26),
+    "(NP word (NN turn))": ("constituent mixes words and subconstituents", 18),
+}
+NESTED_SYNTAX_ERRORS = {
+    "w": ("expected '(' but found 'w'", 0),
+    ")": ("expected '(' but found ')'", 0),
+    "(": ("unbalanced parentheses", 0),
+    "(X (": ("unbalanced parentheses", 3),
+    "(X (Y a) (Z": ("unbalanced parentheses", 9),
+    "(X a))": ("trailing content after tree", 5),
+    "(X a) (Y b)": ("trailing content after tree", 6),
+    "(X (Y a) b)": ("constituent mixes words and subconstituents", 10),
+    "(X ())": ("constituent without a label", 4),
+    "(X (Y))": ("empty constituent", 3),
+    "(X (Y a b c))": ("preterminal with multiple word tokens", 11),
+}
+
+
 def spans(tree):
     return {(n.label, n.start, n.end) for n in iter_nodes(tree.root)}
 
@@ -48,21 +73,22 @@ class TestParseBracketed:
         labels = [n.label for n in iter_nodes(tree.root)]
         assert labels == ["A", "B", "C", "D", "E"]
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "(NP (PRP Your)",
-            "(NP)",
-            "()",
-            "(NN a b)",
-            "(NP (PRP Your) (NN turn)) junk",
-            "(NP word (NN turn))",
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(SYNTAX_ERRORS))
     def test_syntax_errors(self, bad):
-        with pytest.raises(TreeSyntaxError):
+        message, offset = SYNTAX_ERRORS[bad]
+        with pytest.raises(TreeSyntaxError) as exc:
             parse_bracketed(bad)
+        assert str(exc.value) == f"{message} (at character {offset})"
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("bad", list(NESTED_SYNTAX_ERRORS))
+    def test_nested_syntax_errors(self, bad):
+        """Errors inside and after nested constituents keep their offsets."""
+        message, offset = NESTED_SYNTAX_ERRORS[bad]
+        with pytest.raises(TreeSyntaxError) as exc:
+            parse_bracketed(bad)
+        assert str(exc.value) == f"{message} (at character {offset})"
+        assert exc.value.offset == offset
 
     def test_error_carries_offset(self):
         with pytest.raises(TreeSyntaxError) as exc:
@@ -232,6 +258,18 @@ class TestProjection:
         table = BoundaryTable((BoundaryRow("a", 0, 1), BoundaryRow("b", 2, 3)))
         with pytest.raises(DataError, match="gap"):
             project_to_time(tree, table)
+
+    def test_short_leaf_row(self):
+        tree = parse_bracketed("(NP (A a) (B b))")
+        table = BoundaryTable(
+            (BoundaryRow("a", 0.0, 1.0), BoundaryRow("b", 1.0, 1.0000000001))
+        )
+        with pytest.raises(DataError) as exc:
+            project_to_time(tree, table)
+        assert str(exc.value) == (
+            "degenerate interval (1.0, 1.0000000001): "
+            "length must be at least 1e-09"
+        )
 
     def test_preserves_shape_and_count(self):
         tree = parse_bracketed("(A (B x) (C (D y) (E z)))")
