@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import iou_matrix
-from .treebank import ParseTree, TreeNode, postorder
+from .treebank import ParseTree, TreeNode
 
 __all__ = [
     "MatchMode",
@@ -62,14 +62,15 @@ def _paths(first: np.ndarray) -> dict[int, int]:
 
 
 class _TreeData:
-    """A tree's nodes in postorder, with a virtual root at index n."""
+    """A tree's postorder arrays, with a virtual root at index n."""
 
     def __init__(self, tree: ParseTree):
-        self.nodes, first, depth = postorder(tree)
-        self.n = n = len(self.nodes)
-        first, depth = np.array((first, depth), dtype=np.int64)
+        self.tree = tree
+        first, depth = tree.first, tree.depth
+        self.n = n = first.size
         self.rank = np.arange(n)
         self.first = np.append(first, 0)
+        self.starts, self.ends, self.labels = tree.starts, tree.ends, tree.labels
         # ``flipped`` is ``first`` in the mirrored postorder: this preorder
         # reversed, where a node's preorder index is its first plus depth.
         self._flip = n - 1 - first - depth
@@ -80,7 +81,12 @@ class _TreeData:
         """Renumber the nodes children right to left; ``rank`` maps back."""
         order = np.argsort(self._flip)
         self.rank, self.first = order, self.flipped
-        self.nodes = [self.nodes[i] for i in order]
+        self.starts, self.ends = self.starts[order], self.ends[order]
+        self.labels = [self.labels[i] for i in order]
+
+    def index(self, node: TreeNode) -> int:
+        """The working index of a node of the tree's view."""
+        return self.rank.tolist().index(self.tree.nodes.index(node))
 
 
 class PairSolver:
@@ -102,14 +108,12 @@ class PairSolver:
 
     def _solve(self):
         d1, d2 = self.d1, self.d2
-        s1, e1 = np.array([(m.start, m.end) for m in d1.nodes], dtype=float).T
-        s2, e2 = np.array([(m.start, m.end) for m in d2.nodes], dtype=float).T
-        weights = iou_matrix(s1, e1, s2, e2)
+        weights = iou_matrix(d1.starts, d1.ends, d2.starts, d2.ends)
         allowed = True
         if self.mode is MatchMode.LABELED:
             lab2 = {}
-            ids2 = np.array([lab2.setdefault(m.label, len(lab2)) for m in d2.nodes])
-            ids1 = np.array([lab2.get(m.label, -1) for m in d1.nodes])
+            ids2 = np.array([lab2.setdefault(label, len(lab2)) for label in d2.labels])
+            ids1 = np.array([lab2.get(label, -1) for label in d1.labels])
             allowed = ids1[:, None] == ids2[None, :]
         # F[p, q]: best weight of p's and q's subtrees with p matched to q,
         # its IoU until the tables add the rest; virtual roots never match.
@@ -178,7 +182,7 @@ class PairSolver:
         Returns -inf in labeled mode when the labels differ (the two
         roots cannot be matched at all).
         """
-        value = self.F[self.d1.nodes.index(p), self.d2.nodes.index(q)]
+        value = self.F[self.d1.index(p), self.d2.index(q)]
         return float("-inf") if value <= NEG / 2 else float(value)
 
     def alignment(self) -> Alignment:
@@ -208,9 +212,11 @@ class PairSolver:
                     u, w = first1[p] + i - 1, first2[q] + j - 1
                     todo.append((u, w))
                     i, j = first1[u] - first1[p], first2[w] - first2[q]
-        rank = d1.rank.tolist()  # report in left-to-right postorder
-        pairs.sort(key=lambda pq: rank[pq[0]])
-        node_pairs = tuple((d1.nodes[i], d2.nodes[j]) for i, j in pairs)
+        rank1, rank2 = d1.rank.tolist(), d2.rank.tolist()
+        nodes1, nodes2 = d1.tree.nodes, d2.tree.nodes
+        # report in left-to-right postorder
+        pairs = sorted((rank1[i], rank2[j]) for i, j in pairs)
+        node_pairs = tuple((nodes1[i], nodes2[j]) for i, j in pairs)
         return Alignment(pairs=node_pairs, objective=self.objective)
 
 

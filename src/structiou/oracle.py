@@ -28,7 +28,7 @@ import numpy as np
 from .align import Alignment, MatchMode
 from .errors import CapacityError
 from .intervals import OpenInterval, iou_matrix
-from .treebank import ParseTree, TreeNode, postorder
+from .treebank import ParseTree, TreeNode
 
 __all__ = [
     "OracleVariant",
@@ -47,11 +47,9 @@ class TreeIndex:
 
     def __init__(self, tree: ParseTree):
         self.tree = tree
-        self.nodes, first, _ = postorder(tree)
-        self.first = np.array(first, dtype=np.int64)
+        self.nodes, self.first = tree.nodes, tree.first
         self.index = {id(n): i for i, n in enumerate(self.nodes)}
-        self.starts = np.array([m.start for m in self.nodes], dtype=float)
-        self.ends = np.array([m.end for m in self.nodes], dtype=float)
+        self.starts, self.ends = tree.starts, tree.ends
 
     def is_ancestor(self, p: TreeNode, q: TreeNode) -> bool:
         """True iff p is a strict ancestor of q."""

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .align import MatchMode
 from .errors import DataError
-from .treebank import ParseTree, leaves, postorder
+from .treebank import ParseTree
 
 __all__ = ["BracketSpan", "bracket_spans", "parseval_f1", "ParsevalScore"]
 
@@ -41,13 +41,13 @@ def bracket_spans(tree: ParseTree) -> Counter:
     Word positions are leaf positions, so the result is independent of
     whatever time projection the tree carries.
     """
-    nodes, first, _ = postorder(tree)
+    first = tree.first.tolist()
     # words_before[k]: how many of the first k postorder nodes are leaves
     words_before = list(accumulate((f == i for i, f in enumerate(first)), initial=0))
     return Counter(
-        BracketSpan(node.label, words_before[first[i]], words_before[i])
-        for i, node in enumerate(nodes)
-        if not node.is_leaf
+        BracketSpan(label, words_before[first[i]], words_before[i])
+        for i, label in enumerate(tree.labels)
+        if first[i] != i
     )
 
 
@@ -60,8 +60,8 @@ def parseval_f1(
     empty counts as zero.
     """
     mode = MatchMode.coerce(mode)
-    n_gold_words = len(leaves(gold.root))
-    n_pred_words = len(leaves(pred.root))
+    n_gold_words = len(gold.words)
+    n_pred_words = len(pred.words)
     if n_gold_words != n_pred_words:
         raise DataError(
             f"word count mismatch: gold {n_gold_words}, predicted {n_pred_words}"

@@ -28,7 +28,6 @@ from .treebank import (
     BoundaryTable,
     ParseTree,
     TreeNode,
-    postorder,
 )
 
 __all__ = [
@@ -121,7 +120,7 @@ def perturb_insert(
         return tree, table
     triggers = rng.uniform(0.0, 1.0, size=n)
     splits: dict[int, float] = {}
-    root_is_leaf = tree.root.is_leaf
+    root_is_leaf = tree.node_count == 1
     for i, row in enumerate(table.rows):
         if triggers[i] >= delta:
             continue
@@ -199,7 +198,7 @@ def _merge_words(
     tree: ParseTree, table: BoundaryTable, k: int
 ) -> tuple[ParseTree, BoundaryTable]:
     """Merge words k and k+1 of a projected tree and its table."""
-    nodes, first, _ = postorder(tree)
+    nodes, first = tree.nodes, tree.first.tolist()
     a, b = [i for i, f in enumerate(first) if f == i][k : k + 2]
     # the lowest node after b (in postorder) whose subtree reaches back to a
     lca = nodes[next(j for j in range(b + 1, len(nodes)) if first[j] <= a)]

@@ -1,22 +1,37 @@
 """Tree and boundary-table data model.
 
-A parse tree here is a tree of labeled nodes where every node carries an
-open time interval, children are pairwise disjoint and stored left to
-right, and an internal node's interval is exactly the hull of its
-children's. Terminals (preterminals in parsing terms) carry the word
-string as a payload; the payload is not a node.
+A parse tree is held as read-only postorder arrays, the form the
+alignment solver reads. For node i in postorder: ``labels[i]``;
+``first[i]``, the index of its leftmost leaf (i itself for a leaf), so
+node j lies strictly below node i iff ``first[i] <= j < i`` (Zhang &
+Shasha's leftmost-descendant numbering); ``depth[i]``, its number of
+strict ancestors; and its open time interval ``(starts[i], ends[i])``.
+``words`` holds the leaves' words left to right. Children are pairwise
+disjoint and ordered left to right, and an internal node's interval is
+exactly the hull of its children's.
 
-Trees are value objects: nothing mutates them after construction. Node
-equality is identity, so the same shape built twice gives distinct nodes,
-which is what alignment and validation need.
+Parsing, time projection and serialization work on the arrays alone.
+``TreeNode`` objects are a view: ``tree.nodes`` (postorder) and
+``tree.root`` build them without recursion on first access and keep
+them, so each node is the same object on every access. A leaf
+(preterminal in parsing terms) carries its word as a payload; the
+payload is not a node. Node equality is identity, so the same shape
+built twice gives distinct nodes, which is what alignment and
+validation need. A tree can also be built from a root node, as the
+generators and perturbations do; one postorder walk then derives its
+arrays, and that root is its view.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import DataError, TreeSyntaxError
 from .intervals import MIN_LENGTH, OpenInterval
@@ -37,7 +52,6 @@ __all__ = [
     "validate",
     "iter_nodes",
     "leaves",
-    "postorder",
 ]
 
 PLACEHOLDER_WORD = "<W>"
@@ -63,13 +77,92 @@ class TreeNode:
         return not self.children
 
 
-@dataclass(eq=False)
-class ParseTree:
-    root: TreeNode
-    node_count: int = field(init=False)
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
-    def __post_init__(self):
-        self.node_count = sum(1 for _ in iter_nodes(self.root))
+
+class ParseTree:
+    """A parse tree's postorder arrays, with its node view built on demand."""
+
+    __slots__ = ("labels", "first", "depth", "starts", "ends", "words", "_nodes")
+
+    labels: tuple[str, ...]
+    first: np.ndarray
+    depth: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    words: tuple[str | None, ...]
+
+    def __init__(self, root: TreeNode):
+        """The tree under ``root``, which becomes its view."""
+        nodes: list[TreeNode] = []
+        first: list[int] = []
+        depth: list[int] = []
+        # (node, depth, index of its first descendant, or -1 before its children)
+        stack = [(root, 0, -1)]
+        while stack:
+            node, d, lo = stack.pop()
+            if lo < 0 and node.children:
+                stack.append((node, d, len(nodes)))
+                stack.extend((c, d + 1, -1) for c in reversed(node.children))
+                continue
+            first.append(len(nodes) if lo < 0 else lo)
+            depth.append(d)
+            nodes.append(node)
+        self._set(
+            tuple(n.label for n in nodes), first, depth,
+            [n.start for n in nodes], [n.end for n in nodes],
+            tuple(n.word for n in nodes if n.is_leaf),
+        )
+        self._nodes = tuple(nodes)
+
+    @classmethod
+    def _of(cls, labels, first, depth, starts, ends, words) -> "ParseTree":
+        """A tree straight from its arrays; its view is built when asked for."""
+        tree = cls.__new__(cls)
+        tree._set(labels, first, depth, starts, ends, words)
+        tree._nodes = None
+        return tree
+
+    def _set(self, labels, first, depth, starts, ends, words) -> None:
+        self.labels, self.words = labels, words
+        self.first = _frozen(first, np.int64)
+        self.depth = _frozen(depth, np.int64)
+        self.starts = _frozen(starts, float)
+        self.ends = _frozen(ends, float)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.labels)
+
+    @property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """The node view in postorder; ``nodes[i]`` is node i of the arrays."""
+        if self._nodes is None:
+            first = self.first.tolist()
+            starts, ends = self.starts.tolist(), self.ends.tolist()
+            words = iter(self.words)
+            nodes: list[TreeNode] = []
+            waiting: list[int] = []  # built subtrees without a parent, ascending
+            for i, (label, f) in enumerate(zip(self.labels, first)):
+                span = OpenInterval(starts[i], ends[i])
+                if f == i:
+                    node = TreeNode(label, span, word=next(words))
+                else:
+                    k = bisect_left(waiting, f)  # i's children are the rest
+                    kids = tuple(nodes[j] for j in waiting[k:])
+                    del waiting[k:]
+                    node = TreeNode(label, span, children=kids)
+                waiting.append(i)
+                nodes.append(node)
+            self._nodes = tuple(nodes)
+        return self._nodes
+
+    @property
+    def root(self) -> TreeNode:
+        return self.nodes[-1]
 
 
 class BoundaryRow:
@@ -115,31 +208,6 @@ def leaves(node: TreeNode) -> list[TreeNode]:
     return [n for n in iter_nodes(node) if n.is_leaf]
 
 
-def postorder(tree: ParseTree) -> tuple[list[TreeNode], list[int], list[int]]:
-    """The tree's nodes in postorder, each one's first descendant, and depth.
-
-    ``first[i]`` is the postorder index of node i's leftmost leaf (i itself
-    for a leaf), so node j lies strictly below node i iff
-    ``first[i] <= j < i``: Zhang & Shasha's leftmost-descendant numbering.
-    ``depth[i]`` counts node i's strict ancestors.
-    """
-    nodes: list[TreeNode] = []
-    first: list[int] = []
-    depth: list[int] = []
-    # (node, depth, index of its first descendant, or -1 before its children)
-    stack = [(tree.root, 0, -1)]
-    while stack:
-        node, d, lo = stack.pop()
-        if lo < 0 and node.children:
-            stack.append((node, d, len(nodes)))
-            stack.extend((c, d + 1, -1) for c in reversed(node.children))
-            continue
-        first.append(len(nodes) if lo < 0 else lo)
-        depth.append(d)
-        nodes.append(node)
-    return nodes, first, depth
-
-
 # ---------------------------------------------------------------------------
 # Bracketed tree text format
 
@@ -150,84 +218,98 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 def parse_bracketed(text: str) -> ParseTree:
     """Parse one bracketed tree like ``(NP (PRP Your) (NN turn))``.
 
-    The k-th word (left to right, 0-based k) is assigned the provisional
-    interval (k, k+1), so the returned tree is immediately usable with
-    word-index semantics and can be re-projected onto real times later.
+    One pass over the tokens appends each node to the arrays when its
+    ``)`` closes. The k-th word (left to right, 0-based k) is assigned
+    the provisional interval (k, k+1), so the returned tree is
+    immediately usable with word-index semantics and can be re-projected
+    onto real times later.
     """
-    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    # the tokens _TOKEN_RE finds (its \s is str.isspace), split faster
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise TreeSyntaxError("empty input", 0)
-    pos = 0
-    word_counter = [0]
-
-    def parse_node() -> TreeNode:
-        nonlocal pos
-        tok, off = tokens[pos]
-        if tok != "(":
-            raise TreeSyntaxError(f"expected '(' but found {tok!r}", off)
-        pos += 1
-        if pos >= len(tokens):
-            raise TreeSyntaxError("unbalanced parentheses", off)
-        label_tok, label_off = tokens[pos]
-        if label_tok in ("(", ")"):
-            raise TreeSyntaxError("constituent without a label", label_off)
-        pos += 1
-        children: list[TreeNode] = []
-        words: list[str] = []
-        while True:
-            if pos >= len(tokens):
-                raise TreeSyntaxError("unbalanced parentheses", off)
-            tok, tok_off = tokens[pos]
-            if tok == ")":
-                pos += 1
+    if tokens[0] != "(":
+        raise _syntax_error(text, f"expected '(' but found {tokens[0]!r}", 0)
+    labels: list[str] = []
+    first: list[int] = []
+    depth: list[int] = []
+    words: list[str] = []
+    # The innermost open constituent: its '(' token, label, first node,
+    # word count and word; the enclosing ones wait on the stack.
+    opened, label, lo, nwords, word = -1, "", 0, 0, ""
+    stack = []
+    end = len(tokens)
+    i = 0
+    while True:
+        tok = tokens[i]
+        if tok == "(":
+            if i + 1 == end:
+                raise _syntax_error(text, "unbalanced parentheses", i)
+            stack.append((opened, label, lo, nwords, word))
+            opened, label, lo, nwords = i, tokens[i + 1], len(labels), 0
+            if label == "(" or label == ")":
+                raise _syntax_error(text, "constituent without a label", i + 1)
+            i += 2
+        elif tok == ")":
+            if nwords and len(labels) > lo:
+                raise _syntax_error(
+                    text, "constituent mixes words and subconstituents", i
+                )
+            if not nwords and len(labels) == lo:
+                raise _syntax_error(text, "empty constituent", opened)
+            if nwords > 1:
+                raise _syntax_error(
+                    text, "preterminal with multiple word tokens", i
+                )
+            if nwords:
+                words.append(word)
+            labels.append(label)
+            first.append(lo)
+            depth.append(len(stack) - 1)
+            opened, label, lo, nwords, word = stack.pop()
+            i += 1
+            if not stack:
+                if i < end:
+                    raise _syntax_error(text, "trailing content after tree", i)
                 break
-            if tok == "(":
-                children.append(parse_node())
-            else:
-                words.append(tok)
-                pos += 1
-        if children and words:
-            raise TreeSyntaxError(
-                "constituent mixes words and subconstituents", tok_off
-            )
-        if not children and not words:
-            raise TreeSyntaxError("empty constituent", off)
-        if len(words) > 1:
-            raise TreeSyntaxError(
-                "preterminal with multiple word tokens", tok_off
-            )
-        if words:
-            k = word_counter[0]
-            word_counter[0] += 1
-            return TreeNode(
-                label_tok,
-                OpenInterval(float(k), float(k + 1)),
-                word=words[0],
-            )
-        return TreeNode(label_tok, _hull(children), children=tuple(children))
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise TreeSyntaxError("trailing content after tree", tokens[pos][1])
-    return ParseTree(root)
+        else:
+            nwords += 1
+            word = tok
+            i += 1
+        if i == end:
+            raise _syntax_error(text, "unbalanced parentheses", opened)
+    first_array = _frozen(first, np.int64)
+    spans = _hulls(first_array, *_unit_rows(len(words)))
+    return ParseTree._of(tuple(labels), first_array, depth, *spans, tuple(words))
 
 
-def _hull(children: list[TreeNode]) -> OpenInterval:
-    return OpenInterval(
-        min(c.start for c in children), max(c.end for c in children)
-    )
+def _syntax_error(text: str, message: str, token: int) -> TreeSyntaxError:
+    """The error at the given token, located by tokenizing again."""
+    match = next(islice(_TOKEN_RE.finditer(text), token, None))
+    return TreeSyntaxError(message, match.start())
 
 
 def serialize_bracketed(tree: ParseTree) -> str:
-    """Inverse of parse_bracketed up to whitespace normalization."""
+    """Inverse of parse_bracketed up to whitespace normalization.
 
-    def emit(node: TreeNode) -> str:
-        if node.is_leaf:
-            return f"({node.label} {node.word or PLACEHOLDER_WORD})"
-        inner = " ".join(emit(c) for c in node.children)
-        return f"({node.label} {inner})"
-
-    return emit(tree.root)
+    Writes the nodes in preorder, where node i comes at ``first[i] +
+    depth[i]``; a leaf closes itself and every constituent that ends
+    with it.
+    """
+    labels = tree.labels
+    first, depth = tree.first.tolist(), tree.depth.tolist()
+    preorder = [0] * len(first)
+    for i, (f, d) in enumerate(zip(first, depth)):
+        preorder[f + d] = i
+    words = iter(tree.words)
+    parts = []
+    for k, i in enumerate(preorder, start=1):
+        parts.append(f"({labels[i]}")
+        if first[i] == i:
+            after = depth[preorder[k]] if k < len(preorder) else 0
+            word = next(words) or PLACEHOLDER_WORD
+            parts.append(word + ")" * (1 + depth[i] - after))
+    return " ".join(parts)
 
 
 def read_tree_file(stream: TextIO | Iterable[str]) -> list[ParseTree]:
@@ -342,41 +424,55 @@ def compact_silence(table: BoundaryTable) -> BoundaryTable:
 
 
 def project_to_time(tree: ParseTree, table: BoundaryTable) -> ParseTree:
-    """Assign leaf k the k-th row's time range, recomputing internal hulls.
+    """Assign leaf k the k-th row's time range, and each node its leaves' hull.
 
     The table must be gap-free (see compact_silence) and have exactly one
     row per tree leaf.
     """
     if not table.is_gap_free():
         raise DataError("boundary table has gaps; run compact_silence first")
-    leaf_count = len(leaves(tree.root))
-    if leaf_count != len(table.rows):
+    rows = table.rows
+    if len(tree.words) != len(rows):
         raise DataError(
-            f"tree has {leaf_count} leaves but table has {len(table.rows)} rows"
+            f"tree has {len(tree.words)} leaves but table has {len(rows)} rows"
         )
-    rows = iter(table.rows)
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            row = next(rows)
+    for row in rows:
+        if not row.end - row.start >= MIN_LENGTH:
             try:
-                span = OpenInterval(row.start, row.end)
+                OpenInterval(row.start, row.end)
             except ValueError as exc:
                 raise DataError(str(exc)) from exc
-            return TreeNode(node.label, span, word=node.word)
-        kids = tuple(rebuild(c) for c in node.children)
-        return TreeNode(node.label, _hull(kids), children=kids)
-
-    return ParseTree(rebuild(tree.root))
+    starts = np.array([row.start for row in rows], dtype=float)
+    ends = np.array([row.end for row in rows], dtype=float)
+    return _respanned(tree, starts, ends)
 
 
 def project_even(tree: ParseTree) -> ParseTree:
-    """Assign leaf k the unit interval (k, k+1), recomputing hulls."""
-    rows = tuple(
-        BoundaryRow(leaf.word or PLACEHOLDER_WORD, float(k), float(k + 1))
-        for k, leaf in enumerate(leaves(tree.root))
-    )
-    return project_to_time(tree, BoundaryTable(rows))
+    """Assign leaf k the unit interval (k, k+1), and each node its leaves' hull."""
+    return _respanned(tree, *_unit_rows(len(tree.words)))
+
+
+def _unit_rows(count: int) -> tuple[np.ndarray, np.ndarray]:
+    starts = np.arange(count, dtype=float)
+    return starts, starts + 1.0
+
+
+def _respanned(tree: ParseTree, starts: np.ndarray, ends: np.ndarray) -> ParseTree:
+    """The tree over new leaf rows: same shape, labels and words."""
+    spans = _hulls(tree.first, starts, ends)
+    return ParseTree._of(tree.labels, tree.first, tree.depth, *spans, tree.words)
+
+
+def _hulls(
+    first: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's start and end: its first leaf's row start, last leaf's end.
+
+    ``rows[i]`` is the row of the last leaf among nodes 0..i, which is
+    node i's last leaf; its first leaf is node ``first[i]``.
+    """
+    rows = np.cumsum(first == np.arange(first.size)) - 1
+    return starts[rows[first]], ends[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +487,7 @@ def validate(tree: ParseTree) -> list[str]:
     with no ancestry relation have disjoint intervals.
     """
     problems: list[str] = []
-    nodes, first, _ = postorder(tree)
+    nodes, first = tree.nodes, tree.first.tolist()
 
     for n in nodes:
         if n.end - n.start <= 0:

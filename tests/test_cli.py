@@ -243,6 +243,19 @@ class TestParseval:
         f1 = float(out.read_text().splitlines()[1].split("\t")[3])
         assert f1 == pytest.approx(500 / 7, abs=1e-3)
 
+    def test_deep_chain(self, tmp_path):
+        words = 1200  # deeper than Python's recursion limit
+        text = "".join(f"(X (W w{k}) " for k in range(words - 1))
+        chain = tmp_path / "chain.trees"
+        chain.write_text(text + "(W w)" + ")" * (words - 1) + "\n", encoding="utf-8")
+        out = tmp_path / "pv.tsv"
+        code = main([
+            "parseval", "--gold", str(chain), "--pred", str(chain), "--out", str(out),
+        ])
+        assert code == 0
+        row = out.read_text().splitlines()[1].split("\t")
+        assert row[3] == "100.0000" and row[4] == str(words - 1)
+
     def test_word_count_mismatch_exit2(self, corpus, tmp_path):
         other = tmp_path / "other.trees"
         other.write_text("(X w)\n", encoding="utf-8")

@@ -8,7 +8,18 @@ from structiou.align import PairSolver, max_weight_alignment
 from structiou.intervals import OpenInterval, iou
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import TreeIndex, conflicted, random_timed_tree, ted_objective
-from structiou.treebank import ParseTree, TreeNode
+from structiou.treebank import (
+    BoundaryRow,
+    BoundaryTable,
+    ParseTree,
+    TreeNode,
+    iter_nodes,
+    leaves,
+    parse_bracketed,
+    project_to_time,
+    serialize_bracketed,
+    validate,
+)
 
 MAX_NODES = 20
 
@@ -140,3 +151,54 @@ big_trees = st.one_of(
 def test_objective_equals_ted(t1, t2, mode):
     expected = ted_objective(t1, t2, mode)
     assert PairSolver(t1, t2, mode).objective == pytest.approx(expected, abs=1e-9)
+
+
+# Two routes to the same tree: a walk over a root, and parsing its text
+# then projecting onto its leaves' times.
+ARRAYS = ("labels", "first", "depth", "starts", "ends", "words")
+
+
+def gap_free_tree(seed: int) -> ParseTree:
+    return random_timed_tree(np.random.default_rng(seed), MAX_NODES, allow_gaps=False)
+
+
+def reparsed(t: ParseTree) -> ParseTree:
+    table = BoundaryTable(
+        tuple(BoundaryRow(leaf.word, leaf.start, leaf.end) for leaf in leaves(t.root))
+    )
+    return project_to_time(parse_bracketed(serialize_bracketed(t)), table)
+
+
+def assert_same_arrays(a: ParseTree, b: ParseTree) -> None:
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert not x.flags.writeable and not y.flags.writeable
+        else:
+            assert x == y
+
+
+@examples
+@given(seeds)
+def test_walked_and_parsed_arrays_equal(s):
+    t = gap_free_tree(s)
+    built = reparsed(t)
+    assert_same_arrays(ParseTree(t.root), built)
+    assert validate(built) == []
+    viewed = ParseTree(built.root)
+    assert_same_arrays(viewed, built)
+    assert serialize_bracketed(viewed) == serialize_bracketed(t)
+
+
+@examples
+@given(seeds, seeds, modes)
+def test_alignment_returns_view_nodes(s1, s2, mode):
+    t1 = reparsed(gap_free_tree(s1))
+    ids1 = {id(n) for n in iter_nodes(t1.root)}
+    # a random tree, and an array-built copy of t1 that matches every node
+    for t2 in (tree(s2), reparsed(gap_free_tree(s1))):
+        out = max_weight_alignment(t1, t2, mode)
+        ids2 = {id(n) for n in iter_nodes(t2.root)}
+        assert all(id(p) in ids1 and id(q) in ids2 for p, q in out.pairs)
+    assert len(out.pairs) == t1.node_count

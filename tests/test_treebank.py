@@ -12,7 +12,6 @@ from structiou.treebank import (
     iter_nodes,
     leaves,
     parse_bracketed,
-    postorder,
     project_even,
     project_to_time,
     read_boundary_file,
@@ -94,6 +93,15 @@ class TestParseBracketed:
         with pytest.raises(TreeSyntaxError) as exc:
             parse_bracketed("(NP (NN a b))")
         assert exc.value.offset == 11
+
+
+    def test_unicode_whitespace_separates_tokens(self):
+        # str.isspace() characters, as the tokenizer's \s matches them
+        tree = parse_bracketed("(X\u00a0(Y\x1ca)\u2003(Z\u3000b))")
+        assert serialize_bracketed(tree) == "(X (Y a) (Z b))"
+        with pytest.raises(TreeSyntaxError) as exc:
+            parse_bracketed("(X\u00a0(Y\u2003a\x1cb))")
+        assert exc.value.offset == 9
 
 
 class TestSerialize:
@@ -295,7 +303,7 @@ class TestProjection:
 class TestPostorder:
     @staticmethod
     def check(tree):
-        nodes, first, depth = postorder(tree)
+        nodes, first, depth = tree.nodes, tree.first, tree.depth
         assert sorted(map(id, nodes)) == sorted(map(id, iter_nodes(tree.root)))
         index = {id(n): i for i, n in enumerate(nodes)}
 
@@ -319,8 +327,38 @@ class TestPostorder:
         text = "".join(f"(X (W w{k}) " for k in range(words - 1))
         tree = parse_bracketed(text + f"(W w{words - 1})" + ")" * (words - 1))
         self.check(tree)
-        nodes, first, depth = postorder(tree)
+        first, depth = tree.first, tree.depth
         assert first[-1] == 0 and max(depth) == words - 1
+
+
+class TestDeepChain:
+    """A right-branching chain far deeper than Python's recursion limit."""
+
+    WORDS = 1500
+
+    def test_round_trip_projection_and_view(self):
+        words = self.WORDS
+        text = "".join(f"(X (W w{k}) " for k in range(words - 1))
+        text += f"(W w{words - 1})" + ")" * (words - 1)
+        tree = parse_bracketed(text)
+        assert serialize_bracketed(tree) == text
+        cuts = np.cumsum(np.random.default_rng(5).uniform(0.1, 1.0, words + 1))
+        cuts = cuts.tolist()
+        table = BoundaryTable(tuple(
+            BoundaryRow(f"w{k}", cuts[k], cuts[k + 1]) for k in range(words)
+        ))
+        timed = project_to_time(tree, table)
+        assert serialize_bracketed(timed) == text
+        root = timed.root
+        assert timed.root is root
+        node, k = root, 0
+        while node.children:
+            assert (node.label, node.start, node.end) == ("X", cuts[k], cuts[-1])
+            leaf, node = node.children
+            assert (leaf.word, leaf.start, leaf.end) == (f"w{k}", cuts[k], cuts[k + 1])
+            k += 1
+        assert k == words - 1
+        assert (node.word, node.start, node.end) == (f"w{k}", cuts[k], cuts[k + 1])
 
 
 class TestValidate:

@@ -7,7 +7,10 @@ Usage (from the repository root):
 
 For every checkout it runs ``python3 bench/run.py --seed 0 --trace 0``
 ``ROUNDS`` times on each workload of ``BENCHMARK.json``, for its
-``run_seconds``, and a single-pair sweep: a ``random_binary_tree`` and a
+``run_seconds``; then ``--trace 1`` once per workload, keeping every
+per-layer metric of that run's result file (``bench/out/``), with each
+layer time also per scored pair (``us_per_pair``, over ``align.solves``);
+and a single-pair sweep: a ``random_binary_tree`` and a
 right-branching chain at 25, 50, 100 and 200 words, each against a
 boundary-jittered copy of itself, recording the median wall time of
 ``max_weight_alignment`` over up to 5 solves (fewer once they took 10 s)
@@ -137,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     import numpy
 
     record = {
-        "options": {"rounds": ROUNDS, "seconds": seconds, "seed": 0, "trace": 0,
+        "options": {"rounds": ROUNDS, "seconds": seconds, "seed": 0, "trace_runs": 1,
                     "words": list(WORDS), "reps": REPS, "budget_s": BUDGET_S},
         "environment": {
             "python": platform.python_version(),
@@ -147,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "checkouts": {name: git_state(path) for name, path in checkouts.items()},
         "workloads": {w: {name: [] for name in checkouts} for w in workloads},
+        "layers": {w: {} for w in workloads},
         "pairs": [],
     }
 
@@ -164,6 +168,23 @@ def main(argv: list[str] | None = None) -> int:
                 record["workloads"][workload][name].append(
                     {"correct": line["correct"], "failed": line["failed"], **metrics})
                 print(f"round {k} {workload} {name}: {metrics}", flush=True)
+
+    for k, workload in enumerate(workloads):
+        for name in turns(k):
+            line = run_json([sys.executable, "bench/run.py", "--workload", workload,
+                             "--seed", "0", "--seconds", str(seconds), "--trace", "1"],
+                            checkouts[name])
+            result = json.loads((checkouts[name] / "bench" / "out" /
+                                 f"{workload}-seed0-trace1.json").read_text(encoding="utf-8"))
+            layers = result["metrics"]
+            solves = layers["align.solves"]
+            record["layers"][workload][name] = {
+                "correct": line["correct"], "operations": result["operations"], **layers,
+                "us_per_pair": {m: 1e6 * v / solves for m, v in layers.items()
+                                if m.endswith("_s") and v is not None},
+            }
+            print(f"trace {workload} {name}: {record['layers'][workload][name]['us_per_pair']}",
+                  flush=True)
 
     for k, (shape, words) in enumerate((s, w) for s in SHAPES for w in WORDS):
         point = {"shape": shape, "words": words}
