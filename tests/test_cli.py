@@ -22,6 +22,11 @@ GOLDEN_EVAL_SHA256 = {
     "--labeled": "e2617bde1cbb1bffa38e8c7d7ccf4cdec7ae09dd94c9bcbe4edc7daa2be81c6b",
     "--unlabeled": "8bbe02a6182d47b9dc3fe28ba514a9351a9e5744488db39bb7e5a4d236e6facd",
 }
+GOLDEN_PERTURB_SHA256 = {
+    "noise": "b83fde272923119b7b22fd375a5c0336e6ef841f80d15be6a6b94aab6888bc79",
+    "insert": "974f61919550c971e5376617633eaeedfc72ecad427f9ecc0f0d53d4dd4db89f",
+    "delete": "2c8109642a8987b01267cac2b342e8cfa8d02d040f868d9bfe2343b6853594de",
+}
 
 
 @pytest.fixture
@@ -315,6 +320,46 @@ class TestPerturb:
             ])
             rows.append((out_dir / "summary.tsv").read_text())
         assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("mode", ["noise", "insert", "delete"])
+    def test_golden_digest(self, mode, tmp_path):
+        """Byte-identical trees, boundaries and summary on a seeded corpus.
+
+        The digests were recorded before insert and delete moved to
+        postorder arrays; any change to the draws, the repaired trees or
+        the scores shows here.
+        """
+        rng = np.random.default_rng(2025)
+        trees = [random_timed_tree(rng, 30) for _ in range(16)]
+        gold = tmp_path / "gold.trees"
+        gold.write_text(
+            "".join(serialize_bracketed(t) + "\n" for t in trees), encoding="utf-8"
+        )
+        bounds = tmp_path / "gold.bounds"
+        with open(bounds, "w", encoding="utf-8") as f:
+            write_boundary_file(
+                (
+                    BoundaryTable(tuple(
+                        BoundaryRow(leaf.word, float(leaf.start), float(leaf.end))
+                        for leaf in leaves(t.root)
+                    ))
+                    for t in trees
+                ),
+                f,
+            )
+        out_dir = tmp_path / mode
+        code = main([
+            "perturb", "--gold", str(gold), "--gold-bounds", str(bounds),
+            "--mode", mode, "--delta", "0.5", "--reps", "3", "--seed", "13",
+            "--out", str(out_dir),
+        ])
+        assert code == 0
+        digest = hashlib.sha256()
+        for rep in range(3):
+            for suffix in ("trees", "bounds"):
+                digest.update((out_dir / f"rep{rep}.{suffix}").read_bytes())
+        digest.update((out_dir / "summary.tsv").read_bytes())
+        assert digest.hexdigest() == GOLDEN_PERTURB_SHA256[mode]
 
 
 class TestAmbiguity:
