@@ -10,9 +10,29 @@ Noise jitters each interior boundary toward a neighbor by a uniform
 fraction, updating left to right so each move sees the already-moved
 left neighbor. Insert splits words at uniform positions with
 probability delta each. Delete removes interior boundaries with
-probability delta each and repairs the tree: the two word preterminals
-are merged into one (keeping the left label) attached under their
-lowest common ancestor, and any internal node left childless is pruned.
+probability delta each and repairs the tree as if merging the two
+words at each deleted boundary, left to right: the merged word's
+preterminal keeps the left label, hangs under the two words' lowest
+common ancestor, and any internal node left childless is pruned.
+
+Insert and delete build the perturbed tree's postorder arrays in one
+pass over the input's, and take every node's time from the new
+boundary rows. Insert writes a split preterminal twice, shifting every
+later node by the splits before it. Delete turns each maximal run of
+words a..b joined by deleted boundaries into one preterminal under the
+LCA of leaves a and b: the first node after leaf b, in postorder,
+whose ``first`` is at or before leaf a. Among the LCA's children it
+goes in word order, right before the child holding leaf b, which
+starts at the least ``first`` met on the way from b to the LCA. Then,
+bottom up, a node with nothing left below it is dropped. Nodes that
+stay keep their depth; the merged word lies one below its LCA.
+
+This equals merging the run's boundaries one at a time. Each partial
+word hangs under the LCA of the words merged into it so far, so the
+last merge puts it under the LCA of the run's two ends. A node that an
+earlier merge hung the partial word under keeps only what else lies
+below it, which is what the one pass leaves there too, so both prune
+the same nodes.
 """
 
 from __future__ import annotations
@@ -22,13 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .intervals import OpenInterval
-from .treebank import (
-    BoundaryRow,
-    BoundaryTable,
-    ParseTree,
-    TreeNode,
-)
+from .treebank import BoundaryRow, BoundaryTable, ParseTree, _hulls
 
 __all__ = [
     "PerturbSpec",
@@ -113,7 +127,8 @@ def perturb_insert(
     same label, side by side under the original parent; ancestor
     intervals are unchanged. A word too short to split (under twice the
     minimum duration) keeps its draw but is left alone, as is the
-    degenerate single-preterminal tree.
+    degenerate single-preterminal tree. ``tree`` is projected onto
+    ``table``.
     """
     n = len(table.rows)
     if delta == 0.0 or n == 0:
@@ -134,34 +149,36 @@ def perturb_insert(
     if not splits:
         return tree, table
 
-    new_rows: list[BoundaryRow] = []
-    for i, row in enumerate(table.rows):
-        if i in splits:
+    rows: list[BoundaryRow] = []
+    words: list[str | None] = []
+    for k, (row, word) in enumerate(zip(table.rows, tree.words)):
+        if k in splits:
             left_text, right_text = _split_word_text(row.word)
-            new_rows.append(BoundaryRow(left_text, row.start, splits[i]))
-            new_rows.append(BoundaryRow(right_text, splits[i], row.end))
+            rows.append(BoundaryRow(left_text, row.start, splits[k]))
+            rows.append(BoundaryRow(right_text, splits[k], row.end))
+            words.extend(_split_word_text(word or ""))
         else:
-            new_rows.append(row)
+            rows.append(row)
+            words.append(word)
 
-    counter = [0]
-
-    def rebuild(node: TreeNode) -> tuple[TreeNode, ...]:
-        if node.is_leaf:
-            i = counter[0]
-            counter[0] += 1
-            if i not in splits:
-                return (node,)
-            point = splits[i]
-            left_text, right_text = _split_word_text(node.word or "")
-            return (
-                TreeNode(node.label, OpenInterval(node.start, point), word=left_text),
-                TreeNode(node.label, OpenInterval(point, node.end), word=right_text),
-            )
-        kids = tuple(k for c in node.children for k in rebuild(c))
-        return (TreeNode(node.label, node.interval, children=kids),)
-
-    (root,) = rebuild(tree.root)
-    return ParseTree(root), BoundaryTable(tuple(new_rows))
+    labels: list[str] = []
+    first: list[int] = []
+    depth: list[int] = []
+    at: list[int] = []  # each input node's index in the output
+    k = 0  # words so far
+    for i, (label, f, d) in enumerate(
+        zip(tree.labels, tree.first.tolist(), tree.depth.tolist())
+    ):
+        at.append(len(labels))
+        copies = 1
+        if f == i:
+            copies += k in splits
+            k += 1
+        for _ in range(copies):
+            labels.append(label)
+            first.append(at[f] if f < i else len(first))
+            depth.append(d)
+    return _tree_over(labels, first, depth, words, rows)
 
 
 def perturb_delete(
@@ -169,69 +186,85 @@ def perturb_delete(
 ) -> tuple[ParseTree, BoundaryTable]:
     """Merge adjacent words across deleted boundaries, repairing the tree.
 
-    Each interior boundary is deleted with probability delta; deletions
-    apply left to right. See the module docstring for the repair rule.
+    Each interior boundary is deleted with probability delta. See the
+    module docstring for the repair rule. ``tree`` is projected onto
+    ``table``.
     """
     n = len(table.rows)
     if delta == 0.0 or n <= 1:
         return tree, table
     draws = rng.uniform(0.0, 1.0, size=n - 1)
-    current_tree, current_table = tree, table
+    # runs[a] = b: words a..b merge, one run per maximal deleted stretch
+    runs: dict[int, int] = {}
+    a = None
     for i in range(n - 1):
         if draws[i] < delta:
-            boundary = table.rows[i].end
-            k = _row_ending_at(current_table, boundary)
-            current_tree, current_table = _merge_words(
-                current_tree, current_table, k
-            )
-    return current_tree, current_table
+            if a is None:
+                a = i
+            runs[a] = i + 1
+        else:
+            a = None
+    if not runs:
+        return tree, table
+
+    first, depth = tree.first.tolist(), tree.depth.tolist()
+    leaf = [i for i, f in enumerate(first) if f == i]  # node of each word
+    gone: set[int] = set()
+    # merged[p] = (a, b, lca): a run's leaf, placed right before node p
+    merged: dict[int, tuple[int, int, int]] = {}
+    for a, b in runs.items():
+        gone.update(leaf[a : b + 1])
+        # The LCA is the first node after leaf b whose subtree reaches
+        # back to leaf a. Its child holding leaf b starts at the least
+        # first on the way; the merged leaf goes right before it.
+        lca, place = leaf[b] + 1, leaf[b]
+        while first[lca] > leaf[a]:
+            place = min(place, first[lca])
+            lca += 1
+        merged[place] = (a, b, lca)
+
+    rows: list[BoundaryRow] = []
+    words: list[str | None] = []
+    labels: list[str] = []
+    new_first: list[int] = []
+    new_depth: list[int] = []
+    # mark[i]: output size before input node i, after any leaf placed there
+    mark: list[int] = []
+    kept = iter(zip(table.rows, tree.words))
+    for i, (label, f) in enumerate(zip(tree.labels, first)):
+        if i in merged:
+            a, b, lca = merged[i]
+            span = table.rows[a : b + 1]
+            rows.append(BoundaryRow(
+                "".join(r.word for r in span), span[0].start, span[-1].end
+            ))
+            words.append("".join(w or "" for w in tree.words[a : b + 1]))
+            labels.append(tree.labels[leaf[a]])
+            new_first.append(len(new_first))
+            new_depth.append(depth[lca] + 1)
+        mark.append(len(labels))
+        if f == i:
+            row, word = next(kept)
+            if i in gone:
+                continue
+            rows.append(row)
+            words.append(word)
+        elif mark[f] == len(labels):
+            continue  # nothing left below: pruned
+        labels.append(label)
+        new_first.append(mark[f])
+        new_depth.append(depth[i])
+    return _tree_over(labels, new_first, new_depth, words, rows)
 
 
-def _row_ending_at(table: BoundaryTable, boundary: float) -> int:
-    for k, row in enumerate(table.rows):
-        if row.end == boundary:
-            return k
-    raise DataError(f"boundary {boundary} not found during deletion")
-
-
-def _merge_words(
-    tree: ParseTree, table: BoundaryTable, k: int
-) -> tuple[ParseTree, BoundaryTable]:
-    """Merge words k and k+1 of a projected tree and its table."""
-    nodes, first = tree.nodes, tree.first.tolist()
-    a, b = [i for i, f in enumerate(first) if f == i][k : k + 2]
-    # the lowest node after b (in postorder) whose subtree reaches back to a
-    lca = nodes[next(j for j in range(b + 1, len(nodes)) if first[j] <= a)]
-    left_leaf, right_leaf = nodes[a], nodes[b]
-    merged = TreeNode(
-        left_leaf.label,
-        OpenInterval(left_leaf.start, right_leaf.end),
-        word=(left_leaf.word or "") + (right_leaf.word or ""),
-    )
-
-    def rebuild(node: TreeNode) -> TreeNode | None:
-        if node is left_leaf or node is right_leaf:
-            return None
-        if node.is_leaf:
-            return node
-        kids = [r for r in (rebuild(c) for c in node.children) if r is not None]
-        if node is lca:
-            kids.append(merged)
-            kids.sort(key=lambda c: c.start)
-        if not kids:
-            return None
-        hull = OpenInterval(min(c.start for c in kids), max(c.end for c in kids))
-        return TreeNode(node.label, hull, children=tuple(kids))
-
-    root = rebuild(tree.root)
-    assert root is not None
-
-    row_left, row_right = table.rows[k], table.rows[k + 1]
-    merged_row = BoundaryRow(
-        row_left.word + row_right.word, row_left.start, row_right.end
-    )
-    rows = table.rows[:k] + (merged_row,) + table.rows[k + 2 :]
-    return ParseTree(root), BoundaryTable(rows)
+def _tree_over(labels, first, depth, words, rows) -> tuple[ParseTree, BoundaryTable]:
+    """The tree with these arrays, its node times taken from the rows."""
+    first_array = np.array(first, dtype=np.int64)
+    starts = np.array([row.start for row in rows], dtype=float)
+    ends = np.array([row.end for row in rows], dtype=float)
+    spans = _hulls(first_array, starts, ends)
+    tree = ParseTree._of(tuple(labels), first_array, depth, *spans, tuple(words))
+    return tree, BoundaryTable(tuple(rows))
 
 
 def apply_perturbation(

@@ -321,6 +321,26 @@ class TestPerturb:
             rows.append((out_dir / "summary.tsv").read_text())
         assert rows[0] == rows[1]
 
+    @pytest.mark.parametrize("mode", ["insert", "delete"])
+    def test_deep_chain(self, mode, tmp_path):
+        words = 1200  # deeper than Python's recursion limit
+        text = "".join(f"(X (W w{k}) " for k in range(words - 1))
+        chain = tmp_path / "chain.trees"
+        chain.write_text(text + "(W w)" + ")" * (words - 1) + "\n", encoding="utf-8")
+        bounds = tmp_path / "chain.bounds"
+        bounds.write_text(
+            "".join(f"w{k}\t{k}.0\t{k + 1}.0\n" for k in range(words)), encoding="utf-8"
+        )
+        out_dir = tmp_path / mode
+        code = main([
+            "perturb", "--gold", str(chain), "--gold-bounds", str(bounds),
+            "--mode", mode, "--delta", "0.3", "--reps", "1", "--seed", "2",
+            "--out", str(out_dir),
+        ])
+        assert code == 0
+        rows = (out_dir / "rep0.bounds").read_text().splitlines()
+        assert (len(rows) > words) if mode == "insert" else (len(rows) < words)
+
     @pytest.mark.parametrize("mode", ["noise", "insert", "delete"])
     def test_golden_digest(self, mode, tmp_path):
         """Byte-identical trees, boundaries and summary on a seeded corpus.

@@ -8,6 +8,7 @@ from structiou.align import PairSolver, max_weight_alignment
 from structiou.intervals import OpenInterval, iou
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import TreeIndex, conflicted, random_timed_tree, ted_objective
+from structiou.perturb import perturb_delete, perturb_insert, sentence_rng
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
@@ -202,3 +203,31 @@ def test_alignment_returns_view_nodes(s1, s2, mode):
         ids2 = {id(n) for n in iter_nodes(t2.root)}
         assert all(id(p) in ids1 and id(q) in ids2 for p, q in out.pairs)
     assert len(out.pairs) == t1.node_count
+
+
+# Insert and delete build the perturbed tree's arrays straight from the
+# input's; the node view and validate() check them independently.
+perturbations = st.sampled_from([perturb_insert, perturb_delete])
+
+
+@examples
+@given(seeds, st.floats(0.0, 1.0), seeds, perturbations)
+def test_insert_and_delete_give_valid_trees_over_their_rows(s, delta, r, perturb):
+    t = gap_free_tree(s)
+    # row words differ from tree words, as they may in a corpus
+    table = BoundaryTable(tuple(
+        BoundaryRow(leaf.word.upper(), leaf.start, leaf.end) for leaf in leaves(t.root)
+    ))
+    t = project_to_time(t, table)
+    out, out_table = perturb(t, table, delta, sentence_rng(r))
+    assert validate(out) == []
+    leaf = out.first == np.arange(out.node_count)
+    assert len(out.words) == len(out_table.rows) == leaf.sum()
+    assert out.starts[leaf].tolist() == [row.start for row in out_table.rows]
+    assert out.ends[leaf].tolist() == [row.end for row in out_table.rows]
+    assert out_table.is_gap_free()
+    if perturb is perturb_delete:
+        assert "".join(out.words) == "".join(t.words)
+        assert "".join(row.word for row in out_table.rows) == "".join(
+            row.word for row in table.rows
+        )
