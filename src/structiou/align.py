@@ -99,11 +99,14 @@ class PairSolver:
     def __init__(self, t1: ParseTree, t2: ParseTree, mode: MatchMode | str):
         self.mode = MatchMode.coerce(mode)
         self.d1, self.d2 = d1, d2 = _TreeData(t1), _TreeData(t2)
-        cost = [sum(k - f for f, k in _paths(first).items())
-                for first in (d1.first, d2.first, d1.flipped, d2.flipped)]
+        paths = [_paths(first) for first in (d1.first, d2.first, d1.flipped, d2.flipped)]
+        cost = [sum(k - f for f, k in p.items()) for p in paths]
         if cost[2] * cost[3] < cost[0] * cost[1]:
             d1.mirror()
             d2.mirror()
+            paths = paths[2:]
+        # each tree's keyroots by path, in the chosen numbering
+        self.paths1, self.paths2 = paths[:2]
         self._solve()
 
     def _solve(self):
@@ -119,11 +122,11 @@ class PairSolver:
         # its IoU until the tables add the rest; virtual roots never match.
         self.F = F = np.full((d1.n + 1, d2.n + 1), NEG)
         np.copyto(F[:-1, :-1], weights, where=allowed)
-        top2 = _paths(d2.first)
+        top2 = self.paths2
         cols = self._columns(sorted(top2.values()))
         # each second-tree node's column: its descendants' prefix
         into = np.arange(d2.n) + [cols[3][top2[f]] - f for f in d2.first[:-1].tolist()]
-        for k in sorted(_paths(d1.first).values()):
+        for k in sorted(self.paths1.values()):
             if d1.first[k] < k:
                 G = self._table(k, cols, into)
         self.objective = float(G[-1, -1])  # the virtual roots' segment is last
@@ -188,7 +191,7 @@ class PairSolver:
     def alignment(self) -> Alignment:
         d1, d2 = self.d1, self.d2
         first1, first2 = d1.first, d2.first
-        top1, top2 = _paths(first1), _paths(first2)
+        top1, top2 = self.paths1, self.paths2
         tables, pairs = {}, []
         todo = [(d1.n, d2.n)]  # the virtual roots: matched, not reported
         while todo:
