@@ -117,18 +117,22 @@ def random_binary_tree(word_count: int, rng: np.random.Generator) -> ParseTree:
 
 
 def strip_single_word_phrases(tree: ParseTree) -> ParseTree:
-    """Remove non-preterminal nodes that span exactly one word."""
+    """Remove non-preterminal nodes that span exactly one word.
 
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return node
-        kids = tuple(rebuild(c) for c in node.children)
-        if len(kids) == 1 and kids[0].is_leaf:
-            return kids[0]
-        return TreeNode(node.label, node.interval, children=kids)
-
-    root = rebuild(tree.root)
-    return ParseTree(root)
+    Such a node's subtree holds one leaf, its ``first``; the leaf takes
+    the place of the highest of them, one level up per node removed.
+    """
+    first = tree.first
+    leaf = first == np.arange(first.size)
+    words = np.cumsum(leaf)  # words among nodes 0..i
+    keep = leaf | (words != words[first])
+    index = np.cumsum(keep) - 1
+    removed = np.bincount(first[~keep], minlength=first.size)
+    return ParseTree._of(
+        tuple(label for label, k in zip(tree.labels, keep.tolist()) if k),
+        index[first[keep]], (tree.depth - removed)[keep],
+        tree.starts[keep], tree.ends[keep], tree.words,
+    )
 
 
 # Stand-in for the protocol's random ground-truth draw at the published

@@ -14,7 +14,9 @@ from structiou.ambiguity import (
 from structiou.errors import UsageError
 from structiou.metric import struct_iou_sentence
 from structiou.treebank import (
+    ParseTree,
     leaves,
+    parse_bracketed,
     project_even,
     serialize_bracketed,
     validate,
@@ -96,6 +98,21 @@ def test_strip_single_word_phrases(attachment_pair):
     assert serialize_bracketed(stripped) == (
         "(NP (N N) (PP (P P) (NP (N N) (PP (P P) (N N)))))"
     )
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(S (A (B (X a))) (C (D b) (E (F c))))", "(S (X a) (C (D b) (F c)))"),
+    ("(A (B (X a)))", "(X a)"),
+    ("(S (X a) (Y b))", "(S (X a) (Y b))"),
+])
+def test_strip_nested_unary_chains(text, expected):
+    stripped = strip_single_word_phrases(project_even(parse_bracketed(text)))
+    assert serialize_bracketed(stripped) == expected
+    assert validate(stripped) == []
+    walked = ParseTree(stripped.root)  # arrays derived again from the view
+    assert stripped.first.tolist() == walked.first.tolist()
+    assert stripped.depth.tolist() == walked.depth.tolist()
+    assert stripped.starts.tolist() == walked.starts.tolist()
 
 
 class TestReport:
