@@ -196,14 +196,12 @@ def perturb_delete(
     draws = rng.uniform(0.0, 1.0, size=n - 1)
     # runs[a] = b: words a..b merge, one run per maximal deleted stretch
     runs: dict[int, int] = {}
-    a = None
+    a = 0  # the word after the last kept boundary
     for i in range(n - 1):
         if draws[i] < delta:
-            if a is None:
-                a = i
             runs[a] = i + 1
         else:
-            a = None
+            a = i + 1
     if not runs:
         return tree, table
 
