@@ -17,6 +17,7 @@ against line k of the gold file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -468,7 +469,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than parsing, and ``main`` may run many times in one process."""
     parser = _Parser(prog="structiou", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
