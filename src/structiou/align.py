@@ -7,10 +7,15 @@ the prefix ``first[p] .. first[u]-1``. Nodes sharing a ``first`` form a
 leftmost path under a keyroot (a virtual root at n tops the root's), and
 one table of prefix maxima per first-tree keyroot, its columns the
 second tree's keyroot segments end to end, serves both paths (Zhang &
-Shasha 1989). Each pair numbers children left to right or right to left,
-whichever gives the smaller product of ``sum(k - first[k])`` over the
-two trees' keyroots (RTED, Pawlik & Augsten 2011). Cost: that many rows
-times ``sum(k - first[k] + 1)`` columns.
+Shasha 1989). A keyroot that is a single node, a leaf, has nothing below
+it to pair, so it gets no table and no segment. Each pair numbers
+children left to right or right to left, whichever gives the smaller
+product of ``sum(k - first[k])`` over the two trees' keyroots (RTED,
+Pawlik & Augsten 2011). Cost: that many rows times
+``sum(k - first[k] + 1)`` columns over the keyroots of more than one node.
+Recovering the pairs reads the last table, the virtual root's, which
+holds every segment, and fills again, one segment each, only the tables
+of lower first-tree paths that matched pairs reach.
 """
 
 from __future__ import annotations
@@ -111,32 +116,35 @@ class PairSolver:
 
     def _solve(self):
         d1, d2 = self.d1, self.d2
-        weights = iou_matrix(d1.starts, d1.ends, d2.starts, d2.ends)
-        allowed = True
+        # F[p, q]: best weight of p's and q's subtrees with p matched to q,
+        # its IoU until the tables add the rest; virtual roots never match.
+        self.F = F = np.empty((d1.n + 1, d2.n + 1))
+        F[-1], F[:, -1] = NEG, NEG
+        iou_matrix(d1.starts, d1.ends, d2.starts, d2.ends, out=F[:-1, :-1])
         if self.mode is MatchMode.LABELED:
             lab2 = {}
             ids2 = np.array([lab2.setdefault(label, len(lab2)) for label in d2.labels])
             ids1 = np.array([lab2.get(label, -1) for label in d1.labels])
-            allowed = ids1[:, None] == ids2[None, :]
-        # F[p, q]: best weight of p's and q's subtrees with p matched to q,
-        # its IoU until the tables add the rest; virtual roots never match.
-        self.F = F = np.full((d1.n + 1, d2.n + 1), NEG)
-        np.copyto(F[:-1, :-1], weights, where=allowed)
+            F[:-1, :-1][ids1[:, None] != ids2] = NEG
         top2 = self.paths2
-        cols = self._columns(sorted(top2.values()))
-        # each second-tree node's column: its descendants' prefix
-        into = np.arange(d2.n) + [cols[3][top2[f]] - f for f in d2.first[:-1].tolist()]
-        for k in sorted(self.paths1.values()):
-            if d1.first[k] < k:
-                G = self._table(k, cols, into)
-        self.objective = float(G[-1, -1])  # the virtual roots' segment is last
+        cols = self._columns(sorted(k for f, k in top2.items() if f < k))
+        self.offsets = off = cols[3]
+        # each second-tree node's column: its descendants' prefix, or for
+        # a one-node keyroot, which has no segment, column 0
+        into = np.arange(d2.n) + [off.get(top2[f], 0) - f for f in d2.first[:-1].tolist()]
+        for k in sorted(k for f, k in self.paths1.items() if f < k):
+            self.top = None  # free the last table before filling the next
+            self.top = self._table(k, cols, into)
+        # the virtual root's table is last, and its segment last in it
+        self.objective = float(self.top[-1, -1])
 
     def _columns(self, keyroots: list[int]):
         """Second-tree keyroot segments as columns, and their offsets.
 
         Segment k's column j > 0 adds node ``w = first[k] + j - 1``, whose
         legal predecessors end at column ``pred``; column 0 takes the
-        virtual root, never matched. ``z.real`` numbers the segments.
+        virtual root, never matched, and is always 0.0. With more than one
+        segment, ``z.real`` numbers them; with one, ``z`` is None.
         """
         first = self.d2.first
         ks = np.array(keyroots)
@@ -147,7 +155,7 @@ class PairSolver:
         lo = first[ks][seg]
         w = np.where(j > 0, lo + j - 1, self.d2.n)
         pred = np.where(j > 0, off[seg] + first[w] - lo, 0)
-        z = seg + 0j
+        z = seg + 0j if ks.size > 1 else None
         return w, pred, z, dict(zip(keyroots, off.tolist()))
 
     def _table(self, k: int, cols, into: np.ndarray | None = None) -> np.ndarray:
@@ -158,7 +166,7 @@ class PairSolver:
         restarts per segment. Given ``into``, each node's column, rows
         also complete F for the nodes on k's path, k last.
         """
-        first, F = self.d1.first, self.F
+        first, F = self.d1.first.tolist(), self.F
         lo = first[k]
         w, pred, z, _ = cols
         G = np.empty((k - lo + 1, w.size))
@@ -170,9 +178,12 @@ class PairSolver:
             cand = F[u].take(w)
             cand += G[first[u] - lo].take(pred)
             np.maximum(cand, G[i - 1], out=cand)
-            z.imag = cand
-            np.maximum.accumulate(z, out=z)
-            G[i] = z.imag
+            if z is None:
+                np.maximum.accumulate(cand, out=G[i])
+            else:
+                z.imag = cand
+                np.maximum.accumulate(z, out=z)
+                G[i] = z.imag
         if into is not None:
             F[k, :-1] += G[-1].take(into)
         return G
@@ -190,7 +201,7 @@ class PairSolver:
 
     def alignment(self) -> Alignment:
         d1, d2 = self.d1, self.d2
-        first1, first2 = d1.first, d2.first
+        first1, first2 = d1.first.tolist(), d2.first.tolist()
         top1, top2 = self.paths1, self.paths2
         tables, pairs = {}, []
         todo = [(d1.n, d2.n)]  # the virtual roots: matched, not reported
@@ -200,9 +211,13 @@ class PairSolver:
                 pairs.append((p, q))
             if first1[p] == p or first2[q] == q:
                 continue  # a leaf on either side has nothing below to match
-            key = top1[first1[p]], top2[first2[q]]
+            key = k1, k2 = top1[first1[p]], top2[first2[q]]
             if key not in tables:
-                tables[key] = self._table(key[0], self._columns([key[1]]))
+                if k1 == d1.n:  # the top table holds every segment
+                    c = self.offsets[k2]
+                    tables[key] = self.top[:, c : c + k2 - first2[k2] + 1]
+                else:
+                    tables[key] = self._table(k1, self._columns([k2]))
             G = tables[key]
             i, j = p - first1[p], q - first2[q]
             while i > 0 and j > 0:

@@ -38,12 +38,17 @@ def iou(i1: OpenInterval, i2: OpenInterval) -> float:
     return inter / ((i1.end - i1.start) + (i2.end - i2.start) - inter)
 
 
-def iou_matrix(s1, e1, s2, e2) -> np.ndarray:
-    """IoU of every interval (s1, e1) with every interval (s2, e2).
+def iou_matrix(s1, e1, s2, e2, out=None) -> np.ndarray:
+    """IoU of every interval (s1, e1) with every interval (s2, e2), written
+    into ``out`` if given.
 
     The same arithmetic, in the same order, as ``iou``, so each entry
-    equals the scalar result bit for bit.
+    equals the scalar result bit for bit. Besides ``out`` it holds one
+    temporary of the result's size at a time.
     """
-    inter = np.minimum(e1[:, None], e2) - np.maximum(s1[:, None], s2)
+    inter = np.minimum(e1[:, None], e2, out=out)
+    inter -= np.maximum(s1[:, None], s2)
     np.clip(inter, 0.0, None, out=inter)
-    return inter / ((e1 - s1)[:, None] + (e2 - s2) - inter)
+    union = (e1 - s1)[:, None] + (e2 - s2)
+    union -= inter
+    return np.divide(inter, union, out=inter)

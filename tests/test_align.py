@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from structiou.align import MatchMode, PairSolver, max_weight_alignment
+from structiou.ambiguity import random_binary_tree
 from structiou.intervals import OpenInterval, iou
 from structiou.oracle import TreeIndex, conflicted, random_timed_tree
 from structiou.treebank import (
@@ -190,26 +192,32 @@ def _assert_feasible(t1, t2, alignment, mode):
             assert not conflicted(pairs[x], pairs[y], i1, i2)
 
 
+def _right_chain_pair(words, seed):
+    """Two timings of one right-branching chain, words 0.5 to 1.5 s long."""
+    text = "(X w)"
+    for _ in range(words - 1):
+        text = f"(X (X w) {text})"
+    tree = parse_bracketed(text)
+    rng = np.random.default_rng(seed)
+
+    def timed():
+        cuts = np.cumsum(rng.uniform(0.5, 1.5, words + 1)).tolist()
+        rows = tuple(BoundaryRow("w", a, b) for a, b in zip(cuts, cuts[1:]))
+        return project_to_time(tree, BoundaryTable(rows))
+
+    return timed(), timed()
+
+
 def test_pairs_in_left_to_right_postorder_when_solved_mirrored():
     """A right-branching chain is solved in the mirrored numbering, but
     the pairs still come in the first tree's left-to-right postorder."""
-    text = "(X w)"
-    for _ in range(11):
-        text = f"(X (X w) {text})"
-    tree = parse_bracketed(text)
-    rng = np.random.default_rng(3)
-
-    def timed():
-        cuts = np.cumsum(rng.uniform(0.5, 1.5, 13)).tolist()
-        rows = tuple(BoundaryRow("w", a, b) for a, b in zip(cuts, cuts[1:]))
-        return project_to_time(tree, BoundaryTable(rows))
 
     def postorder(node):
         for child in node.children:
             yield from postorder(child)
         yield node
 
-    t1, t2 = timed(), timed()
+    t1, t2 = _right_chain_pair(12, 3)
     solver = PairSolver(t1, t2, "labeled")
     # precondition: the solver picked the mirrored numbering
     assert solver.d1.rank.tolist() != list(range(t1.node_count))
@@ -217,6 +225,62 @@ def test_pairs_in_left_to_right_postorder_when_solved_mirrored():
     order = [index[id(a)] for a, _ in solver.alignment().pairs]
     assert len(order) > 1
     assert order == sorted(order)
+
+
+def _refilled_keyroots(monkeypatch, t1, t2, mode):
+    """Run alignment(); return it and the first-tree keyroots whose
+    tables it filled again."""
+    solver = PairSolver(t1, t2, mode)
+    keyroots = []
+    table = PairSolver._table
+
+    def counted(self, k, *args):
+        keyroots.append(k)
+        return table(self, k, *args)
+
+    monkeypatch.setattr(PairSolver, "_table", counted)
+    out = solver.alignment()
+    monkeypatch.undo()
+    return solver, out, keyroots
+
+
+def test_recovery_reads_the_top_table(monkeypatch):
+    """Pairs under the virtual root's path come from the solve's last
+    table. A chain in its chosen numbering has no other path of more
+    than one node, so recovering its alignment fills no table."""
+    t1, t2 = _right_chain_pair(30, 11)
+    for mode in ("labeled", "unlabeled"):
+        solver, out, refilled = _refilled_keyroots(monkeypatch, t1, t2, mode)
+        assert refilled == []
+        assert _total_iou(out) == pytest.approx(solver.objective, abs=1e-9)
+    rng = np.random.default_rng(12)
+    filled = 0
+    for _ in range(10):
+        t1, t2 = random_binary_tree(20, rng), random_binary_tree(20, rng)
+        solver, out, refilled = _refilled_keyroots(monkeypatch, t1, t2, "labeled")
+        assert solver.d1.n not in refilled
+        assert _total_iou(out) == pytest.approx(solver.objective, abs=1e-9)
+        filled += len(refilled)
+    assert filled > 0  # lower paths still fill their tables
+
+
+def _total_iou(alignment):
+    return sum(iou(a.interval, b.interval) for a, b in alignment.pairs)
+
+
+def test_peak_memory_stays_near_one_F():
+    """The solve writes the IoU weights straight into F and holds at most
+    one keyroot table at a time. On a 300-word chain pair F and the top
+    table are each about (2 * 300)**2 doubles, and the peak about twice F."""
+    t1, t2 = _right_chain_pair(300, 13)
+    f_bytes = (t1.node_count + 1) * (t2.node_count + 1) * 8
+    tracemalloc.start()
+    try:
+        max_weight_alignment(t1, t2, "labeled")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * f_bytes
 
 
 def test_scaling_stays_polynomial():

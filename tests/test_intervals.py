@@ -92,3 +92,9 @@ def test_iou_matrix_equals_scalar_iou():
             # bitwise: the solver's weights and the scalar reference agree
             assert got[i, j] == iou(OpenInterval(*a), OpenInterval(*b))
     assert (got[np.arange(len(spans)), np.arange(len(spans))] == 1.0).all()
+    # written into a strided view, as the solver fills its F matrix
+    out = np.full((len(spans) + 1, len(spans) + 1), np.nan)
+    view = out[:-1, :-1]
+    assert iou_matrix(s, e, s, e, out=view) is view
+    assert view.tobytes() == got.tobytes()
+    assert np.isnan(out[-1]).all() and np.isnan(out[:, -1]).all()

@@ -78,6 +78,22 @@ def chain(words: int, right: bool, seed: int) -> ParseTree:
 chains = st.builds(chain, st.integers(1, 14), st.booleans(), seeds)
 
 
+@st.composite
+def mixed_pairs(draw, trees):
+    """A chain against one branching the other way or against one of
+    ``trees``, in either order. In its chosen numbering a chain fills one
+    keyroot segment; its other keyroots are single nodes, which get none."""
+    right = draw(st.booleans())
+    one = chain(draw(st.integers(1, 14)), right, draw(seeds))
+    turned = st.builds(chain, st.integers(1, 14), st.just(not right), seeds)
+    other = draw(st.one_of(turned, trees))
+    return (one, other) if draw(st.booleans()) else (other, one)
+
+
+# half the examples are mixed pairs, so twice as many keep the rest
+examples_mixed = settings(max_examples=120, deadline=None, database=None)
+
+
 @examples
 @given(seeds, seeds, modes)
 def test_symmetric(s1, s2, mode):
@@ -112,10 +128,13 @@ def test_time_shift_and_scale_invariant(s1, s2, mode, shift, scale):
     assert moved == pytest.approx(score(t1, t2, mode), abs=1e-9)
 
 
-@examples
-@given(seeds, seeds, modes)
-def test_alignment_feasible_and_sums_to_objective(s1, s2, mode):
-    t1, t2 = tree(s1), tree(s2)
+small_pairs = st.tuples(seeds.map(tree), seeds.map(tree))
+
+
+@examples_mixed
+@given(st.one_of(small_pairs, mixed_pairs(seeds.map(tree))), modes)
+def test_alignment_feasible_and_sums_to_objective(pair, mode):
+    t1, t2 = pair
     out = max_weight_alignment(t1, t2, mode)
     pairs = out.pairs
     assert len({id(a) for a, _ in pairs}) == len(pairs)
@@ -142,14 +161,14 @@ def test_score_unchanged_when_both_trees_mirrored(t1, t2, mode):
 
 # Zhang-Shasha tree edit distance is an independent polynomial reference
 # for trees too big for branch and bound.
-big_trees = st.one_of(
-    seeds.map(lambda s: random_timed_tree(np.random.default_rng(s), 40)), chains
-)
+big_random = seeds.map(lambda s: random_timed_tree(np.random.default_rng(s), 40))
+big_trees = st.one_of(big_random, chains)
 
 
-@examples
-@given(big_trees, big_trees, modes)
-def test_objective_equals_ted(t1, t2, mode):
+@examples_mixed
+@given(st.one_of(st.tuples(big_trees, big_trees), mixed_pairs(big_random)), modes)
+def test_objective_equals_ted(pair, mode):
+    t1, t2 = pair
     expected = ted_objective(t1, t2, mode)
     assert PairSolver(t1, t2, mode).objective == pytest.approx(expected, abs=1e-9)
 
