@@ -268,7 +268,7 @@ def _total_iou(alignment):
     return sum(iou(a.interval, b.interval) for a, b in alignment.pairs)
 
 
-def test_peak_memory_stays_near_one_F():
+def test_peak_memory_about_twice_F():
     """The solve writes the IoU weights straight into F and holds at most
     one keyroot table at a time. On a 300-word chain pair F and the top
     table are each about (2 * 300)**2 doubles, and the peak about twice F."""
