@@ -163,8 +163,9 @@ class PairSolver:
         keyroot k's first i descendants and column c's segment up to c.
 
         Complex numbers order by real part first, so the running maximum
-        restarts per segment. Given ``into``, each node's column, rows
-        also complete F for the nodes on k's path, k last.
+        restarts per segment; one segment needs no restart. Given
+        ``into``, each node's column, rows also complete F for the nodes
+        on k's path, k last.
         """
         first, F = self.d1.first.tolist(), self.F
         lo = first[k]
