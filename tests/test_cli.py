@@ -554,3 +554,156 @@ class TestOracleCheck:
 
 def test_unknown_command_exit1():
     assert main(["bogus"]) == 1
+
+
+def _seeded_corpus(tmp_path, seed=2026, sentences=12):
+    """Gold and predicted tree and boundary files from seeded timed trees.
+
+    Each predicted tree has its gold tree's word count, so the corpus
+    also suits ``parseval``; every third one equals its gold tree.
+    """
+    rng = np.random.default_rng(seed)
+    golds, preds = [], []
+    for k in range(sentences):
+        gold = random_timed_tree(rng, 20)
+        pred = gold
+        while k % 3 and (pred is gold or len(pred.words) != len(gold.words)):
+            pred = random_timed_tree(rng, 20)
+        golds.append(gold)
+        preds.append(pred)
+    files = {}
+    for role, trees in (("gold", golds), ("pred", preds)):
+        files[role] = tmp_path / f"{role}.trees"
+        files[role].write_text(
+            "".join(serialize_bracketed(t) + "\n" for t in trees), encoding="utf-8"
+        )
+        files[f"{role}_bounds"] = tmp_path / f"{role}.bounds"
+        with open(files[f"{role}_bounds"], "w", encoding="utf-8") as f:
+            write_boundary_file(
+                (
+                    BoundaryTable(tuple(
+                        BoundaryRow(leaf.word, float(leaf.start), float(leaf.end))
+                        for leaf in leaves(t.root)
+                    ))
+                    for t in trees
+                ),
+                f,
+            )
+    return {name: str(path) for name, path in files.items()}
+
+
+def _run_digest(tmp_path, argv):
+    """sha256 of the file one successful command writes with ``--out``."""
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _write_values(path, values):
+    path.write_text(
+        "index\tvalue\n" + "".join(f"{i}\t{v!r}\n" for i, v in enumerate(values)),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def _golden_argv(case, tmp_path):
+    """The argument list of one golden case, with its input files written."""
+    if case == "ambiguity-3":
+        return ["ambiguity", "--n", "3", "--samples", "20", "--seed", "7"]
+    if case == "ambiguity-8":
+        return ["ambiguity", "--n", "8", "--samples", "20", "--seed", "7"]
+    if case.startswith("correlate"):
+        rng = np.random.default_rng(2027)
+        a = rng.random(30)
+        if case == "correlate-plain":
+            b = 0.5 * a + 0.5 * rng.random(30)
+        else:  # every group of metric b aggregates to the same value
+            b = np.full(30, 0.25)
+        return [
+            "correlate",
+            _write_values(tmp_path / "a.tsv", a.tolist()),
+            _write_values(tmp_path / "b.tsv", b.tolist()),
+            "--group-size", "5", "--groups", "12", "--seed", "3",
+        ]
+    files = _seeded_corpus(tmp_path)
+    argv = [case.split("-")[0], "--gold", files["gold"], "--pred", files["pred"]]
+    if case == "eval-bounds":
+        argv += ["--gold-bounds", files["gold_bounds"],
+                 "--pred-bounds", files["pred_bounds"]]
+    elif case == "eval-even":
+        argv.append("--even")
+    return argv
+
+
+GOLDEN_REPORT_SHA256 = {
+    "eval-bounds/tsv": [
+        "0d0e1553b88a226fb15f9fc78c2d083595874ced9d0801a4c05c94890e82a54a",
+        "6c9e6dae1e8af31fe84dfff6e3ad6f1f2404b1960b02226f7b53d080dbc50772",
+    ],
+    "eval-bounds/json": [
+        "0cb2ecfd73bda5a36254188dfe0f0addc79e2d9d49aacc63d3f2f776c0019306",
+        "0a6a3dd909a7a35d0b4f171cf059e713d586d250ab555589c24aa88404f00360",
+    ],
+    "eval-even/tsv": [
+        "cc80522b9ce4785ca989234e9f9a4d627dc0dd6150122df358d07efaaa11d55d",
+        "e36f4c50afe036bda6f3d887483f1b55751081b32efe6f2c906ae122fea6701f",
+    ],
+    "eval-even/json": [
+        "af511924f421083e419457ab6b50b6f494b795e0f97dc0f9a940bd5af325822f",
+        "9062ce75bcd98cf354a4bc7813ea5774aa7b81d9d175883f047e2b6aac68ffcb",
+    ],
+    "parseval/tsv": [
+        "095ae7e3f1a3130dabf67aead3184df4a437cdc1d57800ad06643ea495ea05bc",
+        "4b97a30952ac7d29deb312f22d61ef80adfc27cf4838aac5751bb679154f177c",
+    ],
+    "parseval/json": [
+        "8caed620068c986b5a4c9c33e60b1baa9d581e45dacb0daa28f31a8f1a534a3b",
+        "38f83aa3fe4d8092a0c96187dfff1942fe0c47918df5d48cb178b2d0dbbf3e64",
+    ],
+    "ambiguity-3/tsv": [
+        "71be1c413c3433b6f5247a97a04091e12d97387b09db4a5e131de1a04dbb87ba",
+    ],
+    "ambiguity-3/json": [
+        "bf53e7beafbe35f015e6665a1df09423b6e8e4ee85fb4fca2d5e5bb8558631d6",
+    ],
+    "ambiguity-8/tsv": [
+        "f399748fa9dfa0cfc9978c7de6188e8f4bc3083f6faeff5632e37867ce53144c",
+    ],
+    "ambiguity-8/json": [
+        "57e723e70f107174d1edc2e95b52e37100394f275b8dd0e83ad7a220cfc67b81",
+    ],
+    "correlate-plain/tsv": [
+        "9f98e756cc1a13f1b7776a10b00d24f9c150d881a7cd7fb77bd5fd1ac415ea37",
+    ],
+    "correlate-plain/json": [
+        "590af0f054f08fce9ca000cec62e6dba535845bba64905b01a5cf76ee1968842",
+    ],
+    "correlate-degenerate/tsv": [
+        "c3a07d4c0631362888512de531c8537af23a2bfeec62fe66d2a4e905c55bcece",
+    ],
+    "correlate-degenerate/json": [
+        "91fdc45430af505c878093fb5d35deb8d7ae2fe78419e1541e6e122205d38e2a",
+    ],
+}
+
+
+class TestGoldenReports:
+    """Byte-identical output of every report command in both formats.
+
+    The digests were recorded before the commands shared one writer;
+    any change to scores, rounding, field order or layout shows here.
+    """
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("case", [
+        "eval-bounds", "eval-even", "parseval",
+        "ambiguity-3", "ambiguity-8", "correlate-plain", "correlate-degenerate",
+    ])
+    def test_digest(self, case, fmt, tmp_path):
+        argv = _golden_argv(case, tmp_path) + ["--format", fmt]
+        modes = (["--labeled"], ["--unlabeled"])
+        if case.startswith(("ambiguity", "correlate")):
+            modes = ([],)
+        digests = [_run_digest(tmp_path, argv + mode) for mode in modes]
+        assert digests == GOLDEN_REPORT_SHA256[f"{case}/{fmt}"]
