@@ -9,16 +9,20 @@ Subcommands:
   oracle-check  randomized audit of the solver against brute force
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 self-check failure.
-All output is deterministic given the flags and seed. Sentence pairing
-across files is positional: line k of the predicted file is scored
-against line k of the gold file.
+Reports are TSV (a header row, then "# name" note lines) or, with
+--format json, JSON with non-finite values as null. All output is
+deterministic given the flags and seed. Sentence pairing across files
+is positional: line k of the predicted file is scored against line k
+of the gold file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,7 +39,7 @@ from .oracle import (
     random_timed_tree,
     ted_objective,
 )
-from .parseval import parseval_f1
+from .parseval import parseval_f1, score_from_counts
 from .perturb import PerturbSpec, apply_perturbation, sentence_rng
 from .stats import GroupRecord, group_sample, spearman
 from .treebank import (
@@ -62,8 +66,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
+def _fmt(x) -> str:
+    return f"{x:.4f}" if isinstance(x, float) else str(x)
 
 
 def _print_error(message: str) -> None:
@@ -81,6 +85,36 @@ def _write_text(out: str | None, text: str) -> None:
             raise DataError(f"{out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _tsv(rows: list[dict], notes: list[tuple] = ()) -> str:
+    """Rows under a header of their keys, then one ``# name`` line per
+    ``(name, *values)`` note, every cell through ``_fmt``."""
+    lines = ["\t".join(rows[0])]
+    lines += ["\t".join(map(_fmt, row.values())) for row in rows]
+    lines += ["\t".join([f"# {name}", *map(_fmt, values)]) for name, *values in notes]
+    return "\n".join(lines) + "\n"
+
+
+def _finite(x):
+    """``x`` with every non-finite float inside it replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite(v) for v in x]
+    return x
+
+
+def _emit(args, payload: dict, rows: list[dict], notes: list[tuple] = ()) -> None:
+    """One report in ``args.format``: ``payload`` as JSON (non-finite
+    floats as null), or ``rows`` and ``notes`` as TSV."""
+    if args.format == "json":
+        text = json.dumps(_finite(payload), indent=2) + "\n"
+    else:
+        text = _tsv(rows, notes)
+    _write_text(args.out, text)
 
 
 def _mode(args) -> MatchMode:
@@ -111,23 +145,23 @@ def _read_corpora(args) -> tuple[list[ParseTree], list[ParseTree]]:
     return gold, pred
 
 
-def _project_corpus(
-    trees: list[ParseTree], bounds_path: str | None, even: bool, role: str
-) -> list[ParseTree]:
-    if even:
-        return [project_even(t) for t in trees]
-    tables = _read(bounds_path, read_boundary_file)
+def _read_timed(
+    trees: list[ParseTree], bounds_path: str, role: str
+) -> tuple[list[ParseTree], list[BoundaryTable]]:
+    """The trees projected onto the boundary file's compacted tables,
+    and the tables; errors name the file, or the role and sentence."""
+    tables = [compact_silence(t) for t in _read(bounds_path, read_boundary_file)]
     if len(tables) != len(trees):
         raise DataError(
             f"{role}: {len(trees)} trees but {len(tables)} boundary blocks"
         )
-    projected = []
+    timed = []
     for k, (tree, table) in enumerate(zip(trees, tables)):
         try:
-            projected.append(project_to_time(tree, compact_silence(table)))
+            timed.append(project_to_time(tree, table))
         except DataError as exc:
             raise DataError(f"{role} sentence {k}: {exc}") from exc
-    return projected
+    return timed, tables
 
 
 # ---------------------------------------------------------------------------
@@ -135,42 +169,32 @@ def _project_corpus(
 
 
 def cmd_eval(args) -> int:
+    if args.even and (args.gold_bounds or args.pred_bounds):
+        raise UsageError("--even excludes --gold-bounds/--pred-bounds")
+    if not (args.even or args.gold_bounds and args.pred_bounds):
+        raise UsageError(
+            "eval needs either --even or both --gold-bounds and --pred-bounds"
+        )
     gold, pred = _read_corpora(args)
-    gold_t = _project_corpus(gold, args.gold_bounds, args.even, "gold")
-    pred_t = _project_corpus(pred, args.pred_bounds, args.even, "pred")
+    if args.even:
+        gold, pred = map(project_even, gold), map(project_even, pred)
+    else:
+        gold = _read_timed(gold, args.gold_bounds, "gold")[0]
+        pred = _read_timed(pred, args.pred_bounds, "pred")[0]
     corpus = struct_iou_corpus(
-        list(zip(pred_t, gold_t)),
+        list(zip(pred, gold)),
         _mode(args),
         literal_normalization=args.literal_normalization,
     )
-    if args.format == "json":
-        payload = {
-            "sentences": [
-                {
-                    "index": k,
-                    "n1": s.n1,
-                    "n2": s.n2,
-                    "objective": s.objective,
-                    "struct_iou": s.value,
-                }
-                for k, s in enumerate(corpus.per_sentence)
-            ],
-            "corpus": {
-                "value": corpus.value,
-                "sentence_mean": corpus.sentence_mean,
-                "count": len(corpus.per_sentence),
-            },
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["index\tn1\tn2\tobjective\tstruct_iou"]
-        for k, s in enumerate(corpus.per_sentence):
-            lines.append(
-                f"{k}\t{s.n1}\t{s.n2}\t{_fmt(s.objective)}\t{_fmt(s.value)}"
-            )
-        lines.append(f"# sentence_mean\t{_fmt(corpus.sentence_mean)}")
-        lines.append(f"# corpus\t{_fmt(corpus.value)}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [
+        {"index": k, "n1": s.n1, "n2": s.n2, "objective": s.objective,
+         "struct_iou": s.value}
+        for k, s in enumerate(corpus.per_sentence)
+    ]
+    summary = {"value": corpus.value, "sentence_mean": corpus.sentence_mean,
+               "count": len(rows)}
+    _emit(args, {"sentences": rows, "corpus": summary}, rows,
+          [("sentence_mean", corpus.sentence_mean), ("corpus", corpus.value)])
     return EXIT_OK
 
 
@@ -182,41 +206,18 @@ def cmd_parseval(args) -> int:
     gold, pred = _read_corpora(args)
     mode = _mode(args)
     scores = [parseval_f1(g, p, mode) for g, p in zip(gold, pred)]
-    matched = sum(s.matched for s in scores)
-    total_gold = sum(s.gold_brackets for s in scores)
-    total_pred = sum(s.pred_brackets for s in scores)
-    micro_p = 100.0 * matched / total_pred if total_pred else 0.0
-    micro_r = 100.0 * matched / total_gold if total_gold else 0.0
-    micro_f = (
-        2 * micro_p * micro_r / (micro_p + micro_r) if micro_p + micro_r else 0.0
+    micro = score_from_counts(
+        sum(s.matched for s in scores),
+        sum(s.gold_brackets for s in scores),
+        sum(s.pred_brackets for s in scores),
     )
-    if args.format == "json":
-        payload = {
-            "sentences": [
-                {
-                    "index": k,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "gold_brackets": s.gold_brackets,
-                    "pred_brackets": s.pred_brackets,
-                }
-                for k, s in enumerate(scores)
-            ],
-            "micro": {"precision": micro_p, "recall": micro_r, "f1": micro_f},
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["index\tprecision\trecall\tf1\tgold_brackets\tpred_brackets"]
-        for k, s in enumerate(scores):
-            lines.append(
-                f"{k}\t{_fmt(s.precision)}\t{_fmt(s.recall)}\t{_fmt(s.f1)}"
-                f"\t{s.gold_brackets}\t{s.pred_brackets}"
-            )
-        lines.append(
-            f"# micro\t{_fmt(micro_p)}\t{_fmt(micro_r)}\t{_fmt(micro_f)}"
-        )
-        _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [
+        {"index": k, "precision": s.precision, "recall": s.recall, "f1": s.f1,
+         "gold_brackets": s.gold_brackets, "pred_brackets": s.pred_brackets}
+        for k, s in enumerate(scores)
+    ]
+    prf = {"precision": micro.precision, "recall": micro.recall, "f1": micro.f1}
+    _emit(args, {"sentences": rows, "micro": prf}, rows, [("micro", *prf.values())])
     return EXIT_OK
 
 
@@ -226,17 +227,10 @@ def cmd_parseval(args) -> int:
 
 def cmd_perturb(args) -> int:
     trees = _read(args.gold, read_tree_file)
-    tables = [
-        compact_silence(t) for t in _read(args.gold_bounds, read_boundary_file)
-    ]
-    if len(trees) != len(tables):
-        raise DataError(
-            f"{len(trees)} trees but {len(tables)} boundary blocks"
-        )
+    reference, tables = _read_timed(trees, args.gold_bounds, "gold")
     if not trees:
         raise DataError("empty corpus")
     spec = PerturbSpec(args.mode, args.delta, args.seed)
-    reference = [project_to_time(t, tab) for t, tab in zip(trees, tables)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = _mode(args)
@@ -266,11 +260,9 @@ def cmd_perturb(args) -> int:
         rep_means.append(corpus.sentence_mean)
     mean = float(np.mean(rep_means))
     stddev = float(np.std(rep_means))
-    lines = [
-        "mode\tdelta\treps\tmean_struct_iou\tstddev_struct_iou",
-        f"{args.mode}\t{args.delta}\t{args.reps}\t{_fmt(mean)}\t{_fmt(stddev)}",
-    ]
-    (out_dir / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    summary = {"mode": args.mode, "delta": str(args.delta), "reps": args.reps,
+               "mean_struct_iou": mean, "stddev_struct_iou": stddev}
+    (out_dir / "summary.tsv").write_text(_tsv([summary]), encoding="utf-8")
     print(f"wrote {args.reps} repetitions to {out_dir} (mean {_fmt(mean)})")
     return EXIT_OK
 
@@ -280,31 +272,10 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_ambiguity(args) -> int:
-    report = ambiguity_report(args.n, args.samples, args.seed, args.gt_index)
-    if args.format == "json":
-        payload = {
-            "n": report.n,
-            "samples": report.samples,
-            "seed": report.seed,
-            "gt_index": report.gt_index,
-            "parseval_random_mean": report.parseval_random_mean,
-            "struct_iou_random_mean": report.struct_iou_random_mean,
-            "parseval_plausible_lowest": report.parseval_plausible_lowest,
-            "struct_iou_plausible_lowest": report.struct_iou_plausible_lowest,
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [
-            "n\tsamples\tseed\tgt_index\tparseval_random_mean"
-            "\tstruct_iou_random_mean\tparseval_plausible_lowest"
-            "\tstruct_iou_plausible_lowest",
-            f"{report.n}\t{report.samples}\t{report.seed}\t{report.gt_index}"
-            f"\t{_fmt(report.parseval_random_mean)}"
-            f"\t{_fmt(report.struct_iou_random_mean)}"
-            f"\t{_fmt(report.parseval_plausible_lowest)}"
-            f"\t{_fmt(report.struct_iou_plausible_lowest)}",
-        ]
-        _write_text(args.out, "\n".join(lines) + "\n")
+    report = dataclasses.asdict(
+        ambiguity_report(args.n, args.samples, args.seed, args.gt_index)
+    )
+    _emit(args, report, [report])
     return EXIT_OK
 
 
@@ -319,14 +290,9 @@ def _read_score_records(path: str) -> list[tuple[float, float]]:
     parseval format (micro-F1 reconstruction from counts), and generic
     index/value files (plain mean).
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = [
-                ln.rstrip("\n") for ln in f
-                if ln.strip() and not ln.startswith("#")
-            ]
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror}") from exc
+    lines = _read(path, lambda f: [
+        ln.rstrip("\n") for ln in f if ln.strip() and not ln.startswith("#")
+    ])
     if not lines:
         raise DataError(f"{path}: no rows")
     header = lines[0].split("\t")
@@ -372,31 +338,32 @@ def cmd_correlate(args) -> int:
         raise DataError(
             f"row count mismatch: {len(rec_a)} vs {len(rec_b)}"
         )
+    for path, recs in ((args.file_a, rec_a), (args.file_b, rec_b)):
+        empty = sum(den == 0 for _, den in recs)
+        if 0 < args.group_size <= empty:
+            raise DataError(
+                f"{path}: {empty} sentences have zero weight (no brackets), "
+                f"so a group of {args.group_size} can have nothing to average"
+            )
     records = [
         GroupRecord(a[0], a[1], b[0], b[1]) for a, b in zip(rec_a, rec_b)
     ]
     grouped = group_sample(records, args.group_size, args.seed, args.groups)
-    xs = [g[0] for g in grouped.groups]
-    ys = [g[1] for g in grouped.groups]
-    rho = spearman(xs, ys)
+    rho = spearman(*zip(*grouped.groups))
     degenerate = grouped.degenerate()
     if degenerate:
         _print_error("degenerate grouping: a metric is constant across groups")
-    if args.format == "json":
-        payload = {
-            "groups": [{"metric_a": a, "metric_b": b} for a, b in grouped.groups],
-            "spearman": None if np.isnan(rho) else rho,
-            "degenerate": degenerate,
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["group\tmetric_a\tmetric_b"]
-        for k, (a, b) in enumerate(grouped.groups):
-            lines.append(f"{k}\t{_fmt(a)}\t{_fmt(b)}")
-        lines.append(f"# spearman\t{'nan' if np.isnan(rho) else _fmt(rho)}")
-        if degenerate:
-            lines.append("# degenerate\ttrue")
-        _write_text(args.out, "\n".join(lines) + "\n")
+    rows = [
+        {"group": k, "metric_a": a, "metric_b": b}
+        for k, (a, b) in enumerate(grouped.groups)
+    ]
+    payload = {
+        "groups": [{"metric_a": a, "metric_b": b} for a, b in grouped.groups],
+        "spearman": rho,
+        "degenerate": degenerate,
+    }
+    notes = [("spearman", rho)] + ([("degenerate", "true")] if degenerate else [])
+    _emit(args, payload, rows, notes)
     return EXIT_OK
 
 
@@ -553,24 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "even", False) and (
-            getattr(args, "gold_bounds", None) or getattr(args, "pred_bounds", None)
-        ):
-            raise UsageError("--even excludes --gold-bounds/--pred-bounds")
-        if args.command == "eval" and not args.even and not (
-            args.gold_bounds and args.pred_bounds
-        ):
-            raise UsageError(
-                "eval needs either --even or both --gold-bounds and --pred-bounds"
-            )
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        _print_error(str(exc))
-        return EXIT_USAGE
-    except CapacityError as exc:
+    except (UsageError, CapacityError) as exc:
         _print_error(str(exc))
         return EXIT_USAGE
     except DataError as exc:

@@ -15,7 +15,13 @@ from .align import MatchMode
 from .errors import DataError
 from .treebank import ParseTree
 
-__all__ = ["BracketSpan", "bracket_spans", "parseval_f1", "ParsevalScore"]
+__all__ = [
+    "BracketSpan",
+    "bracket_spans",
+    "parseval_f1",
+    "score_from_counts",
+    "ParsevalScore",
+]
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,16 @@ def parseval_f1(
         gold_spans = _drop_labels(gold_spans)
         pred_spans = _drop_labels(pred_spans)
     matched = sum((gold_spans & pred_spans).values())
-    n_gold = sum(gold_spans.values())
-    n_pred = sum(pred_spans.values())
+    return score_from_counts(
+        matched, sum(gold_spans.values()), sum(pred_spans.values())
+    )
+
+
+def score_from_counts(matched: int, n_gold: int, n_pred: int) -> ParsevalScore:
+    """P/R/F1 in percent from bracket counts, one sentence's or a corpus's.
+
+    Both counts zero is a perfect match; exactly one zero scores zero.
+    """
     if n_gold == 0 and n_pred == 0:
         return ParsevalScore(100.0, 100.0, 100.0, 0, 0, 0)
     precision = 100.0 * matched / n_pred if n_pred else 0.0

@@ -261,6 +261,20 @@ class TestParseval:
         row = out.read_text().splitlines()[1].split("\t")
         assert row[3] == "100.0000" and row[4] == str(words - 1)
 
+    def test_micro_without_brackets_is_perfect(self, tmp_path):
+        # one-word trees have no brackets; two empty sets match perfectly
+        words = tmp_path / "words.trees"
+        words.write_text("(UH yeah)\n(UH uh)\n", encoding="utf-8")
+        out = tmp_path / "pv.tsv"
+        code = main([
+            "parseval", "--gold", str(words), "--pred", str(words), "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[1:3] == ["0\t100.0000\t100.0000\t100.0000\t0\t0",
+                              "1\t100.0000\t100.0000\t100.0000\t0\t0"]
+        assert lines[-1] == "# micro\t100.0000\t100.0000\t100.0000"
+
     def test_word_count_mismatch_exit2(self, corpus, tmp_path):
         other = tmp_path / "other.trees"
         other.write_text("(X w)\n", encoding="utf-8")
@@ -340,6 +354,18 @@ class TestPerturb:
         assert code == 0
         rows = (out_dir / "rep0.bounds").read_text().splitlines()
         assert (len(rows) > words) if mode == "insert" else (len(rows) < words)
+
+    def test_projection_error_names_sentence(self, corpus, tmp_path, capsys):
+        bounds = tmp_path / "short.bounds"
+        bounds.write_text("Your\t0\t1\n", encoding="utf-8")
+        code = main([
+            "perturb", "--gold", corpus["gold.trees"], "--gold-bounds", str(bounds),
+            "--mode", "noise", "--delta", "0.5", "--out", str(tmp_path / "p"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gold sentence 0: tree has 2 leaves but table has 1 rows\n"
+        )
 
     @pytest.mark.parametrize("mode", ["noise", "insert", "delete"])
     def test_golden_digest(self, mode, tmp_path):
@@ -477,6 +503,19 @@ class TestCorrelate:
         # identical inputs on both metrics: every group aggregates to the
         # ceiling, so the correlation is degenerate but the run succeeds
         assert "# degenerate\ttrue" in out.read_text()
+
+
+    def test_groups_without_brackets_exit2(self, tmp_path, capsys):
+        words = tmp_path / "words.trees"
+        words.write_text("(UH yeah)\n(UH uh)\n(UH huh)\n", encoding="utf-8")
+        pv = tmp_path / "pv.tsv"
+        assert main(["parseval", "--gold", str(words), "--pred", str(words),
+                     "--out", str(pv)]) == 0
+        code = main(["correlate", str(pv), str(pv), "--group-size", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {pv}: 3 sentences have zero weight"
+        )
 
 
 class TestOracleCheck:
@@ -707,3 +746,26 @@ class TestGoldenReports:
             modes = ([],)
         digests = [_run_digest(tmp_path, argv + mode) for mode in modes]
         assert digests == GOLDEN_REPORT_SHA256[f"{case}/{fmt}"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"invalid JSON constant {name}")
+
+
+@pytest.mark.parametrize("case", [
+    "eval-bounds", "eval-even", "parseval", "ambiguity-1", "correlate-degenerate",
+])
+def test_json_has_no_bare_nan(case, tmp_path):
+    """Non-finite values are written as null, which every JSON reader accepts."""
+    if case == "ambiguity-1":  # one plausible parse: no rival, so no lowest score
+        argv = ["ambiguity", "--n", "1", "--samples", "5"]
+    else:
+        argv = _golden_argv(case, tmp_path)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    if case == "ambiguity-1":
+        assert payload["parseval_plausible_lowest"] is None
+        assert payload["struct_iou_plausible_lowest"] is None
+    elif case == "correlate-degenerate":
+        assert payload["spearman"] is None
