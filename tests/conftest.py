@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from structiou.treebank import (
@@ -52,3 +54,22 @@ def attachment_pair():
         "(NP (NP (NP (N N)) (PP (P P) (NP (N N)))) (PP (P P) (NP (N N))))"
     )
     return right, left
+
+
+def _tree_digest(trees, rng=None) -> str:
+    """sha256 over each tree's labels, words and array bytes, then over
+    the generator's state after the draws (when one is given)."""
+    digest = hashlib.sha256()
+    for tree in trees:
+        digest.update(repr((tree.labels, tree.words)).encode())
+        for array in (tree.first, tree.depth, tree.starts, tree.ends):
+            digest.update(array.dtype.str.encode() + array.tobytes())
+    if rng is not None:
+        digest.update(repr(rng.bit_generator.state).encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def tree_digest():
+    """The digest that pins a generator's trees and draws bit for bit."""
+    return _tree_digest

@@ -24,6 +24,25 @@ from structiou.treebank import (
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
+# sha256 of the generators' trees (see the ``tree_digest`` fixture),
+# recorded while they still built their trees from nodes; the arrays and
+# the draws must not change with how the tree is built.
+GOLDEN_PLAUSIBLE_SHA256 = {
+    1: "910a4126364d1efae6facf9d67715638ec7d62e56557dd0bf550eaeb4d98f23e",
+    2: "840baccfb64ae618c383e2e36928781e665c13836df8330378ec5ebafb16d0e3",
+    3: "38c5b2010bb67244717dc02ae06f67b0deee9ca070a86355d0fc0356570ac4c7",
+    4: "f39963e7a358981f976f22b11c3245dc681abdb15f5ced6c23085878d8e9a7c2",
+    5: "c71db41b4aebbdaff41b62bf5ab11e6bc675dd2e7e0c7407029502593bb46d53",
+    6: "d10c531ae3d42b962153273283ae0d6ab02ac4513bf835a6a11b2cc9f29b6b39",
+}
+# five trees per word count, drawn from default_rng(word count)
+GOLDEN_BINARY_SHA256 = {
+    1: "da50a35600f16eb22983425f03a775a2dae705c4f47c1d1ef5e8ffbf416297b4",
+    2: "3d49617483264c1dc660c3cbe0ee1c3fe69b9d9264933ce6128647e696449bc8",
+    17: "c35b1bf6e14ef7b5b1fc1aaecf30b958e48dd63f97c9a0f39620f31e052710de",
+    100: "000d93a65ae35e277079caff50cd063361bfebf78bde39cf8f00bf23ea25f71b",
+}
+
 
 def test_template_words():
     assert template_words(1) == ["N", "P", "N"]
@@ -57,6 +76,10 @@ class TestEnumeratePlausible:
                 words = [l.word for l in leaves(tree.root)]
                 assert words == template_words(n)
 
+    @pytest.mark.parametrize("n", list(GOLDEN_PLAUSIBLE_SHA256))
+    def test_golden(self, n, tree_digest):
+        assert tree_digest(enumerate_plausible(n)) == GOLDEN_PLAUSIBLE_SHA256[n]
+
     def test_range_checked(self):
         with pytest.raises(UsageError):
             enumerate_plausible(0)
@@ -81,6 +104,12 @@ class TestRandomBinaryTree:
             left_child = tree.root.children[0]
             counts["left" if not left_child.is_leaf else "right"] += 1
         assert abs(counts["left"] / 10_000 - 0.5) < 0.02
+
+    @pytest.mark.parametrize("words", list(GOLDEN_BINARY_SHA256))
+    def test_golden(self, words, tree_digest):
+        rng = np.random.default_rng(words)
+        trees = [random_binary_tree(words, rng) for _ in range(5)]
+        assert tree_digest(trees, rng) == GOLDEN_BINARY_SHA256[words]
 
     def test_binary_and_valid(self):
         rng = np.random.default_rng(3)

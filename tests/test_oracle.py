@@ -13,6 +13,43 @@ from structiou.oracle import (
 )
 from structiou.treebank import project_even
 
+# sha256 of 20 trees drawn from each of seeds 0, 1 and 2 (see the
+# ``tree_digest`` fixture), keyed by (max_nodes, allow_gaps). Recorded
+# while the generator still built its trees from nodes; the arrays and
+# the draws must not change with how the tree is built.
+GOLDEN_TIMED_TREE_SHA256 = {
+    (8, True): [
+        "78c66fadfc084c30365d85c4f5f6680ebdca406cac34c29acd0f6a1fe6f48228",
+        "0e3b66c69a4c075e8fc034c39faa2a81d442b048f9a6e12efa1f87697f1ed8f0",
+        "f778ed05abc8229dc4c5abe54dbb4fa625f7497fff89f72847d70d30a429877a",
+    ],
+    (8, False): [
+        "75ce8dc5f68a98b7620b814cd493e80518010a9e73d60909b5ae70f6bc16be14",
+        "a3e4d24d0d4af5718309075f41122b013e26a8d0ed08ba4831851a9bf0145dda",
+        "01a666e7f140eff0ba0298840104a8c798284c7baf1c4deae40f7967b1880387",
+    ],
+    (30, True): [
+        "f392291163246cc85bbe9b9c2c547f3cd17631483bbff9af7be80086261a4207",
+        "3a1b702657e4ab903c68e4376b816816104eabf3075e07a363b92344f5f279b2",
+        "19a2a91c3c5bbbaa4990eef69d19f819f07839ffe27f79bd283c47d2a8f02d6e",
+    ],
+    (30, False): [
+        "1056527339c231969c0bc5df44c4a0ab5447889440bf4525cd0374ebf706c797",
+        "49db45ad38973b9e1d7b9a3e0bc901f455681b81e149324e95af662fa862cf14",
+        "068bf0fbc44dbfd7f6cb8f7f495896ad62f0706dfd7d1bd713dd8a024b5871a6",
+    ],
+    (60, True): [
+        "38afd5aa6f9da4ed5722ebd9c64ec720a4104df095af42251dcf63e68a363c82",
+        "11ffd4f07eebf3df599b196bbf3e1524340313383627fc8dfcbba265b72a0176",
+        "b5d53aa36416f814d581f143584712b15efa02eac302bf12a5991dcbf44be40b",
+    ],
+    (60, False): [
+        "d3eee5454b5c3f4f57cde338641f81c4562a33dccdadfb196241f4486d6cf8d4",
+        "b3a467ba24867d5355cefd2caae8b2936726574a09aa571df291e05cc6262e28",
+        "82d56448eaf9440f82661f0e7a0be8952f84f8ba6d4aabf0897bf50037cd44a9",
+    ],
+}
+
 
 def test_identical_trees_both_variants(gold_timed):
     for variant in OracleVariant:
@@ -40,6 +77,19 @@ def test_size_guard():
         big1 = random_timed_tree(rng, 25)
     with pytest.raises(CapacityError):
         oracle_alignment(big1, big1)
+
+
+@pytest.mark.parametrize("max_nodes, allow_gaps", list(GOLDEN_TIMED_TREE_SHA256))
+def test_random_timed_tree_golden(max_nodes, allow_gaps, tree_digest):
+    digests = []
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        trees = [
+            random_timed_tree(rng, max_nodes, allow_gaps=allow_gaps)
+            for _ in range(20)
+        ]
+        digests.append(tree_digest(trees, rng))
+    assert digests == GOLDEN_TIMED_TREE_SHA256[max_nodes, allow_gaps]
 
 
 def test_oracle_pairs_feasible():
