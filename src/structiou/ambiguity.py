@@ -31,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .intervals import OpenInterval
 from .metric import struct_iou_sentence
 from .parseval import parseval_f1
-from .treebank import ParseTree, TreeNode
+from .treebank import ParseTree, parse_bracketed
 
 __all__ = [
     "template_words",
@@ -65,34 +64,18 @@ def enumerate_plausible(n: int) -> list[ParseTree]:
     if not 1 <= n <= 10:
         raise UsageError(f"template size n must be in 1..10, got {n}")
 
-    def noun(k: int) -> TreeNode:
-        word_at = 2 * k  # noun k sits at word position 2k
-        span = OpenInterval(float(word_at), float(word_at + 1))
-        return TreeNode("NP", span, children=(TreeNode("N", span, word="N"),))
-
-    def prep(k: int) -> TreeNode:
-        word_at = 2 * k + 1  # preposition k sits between nouns k and k+1
-        span = OpenInterval(float(word_at), float(word_at + 1))
-        return TreeNode("P", span, word="P")
-
-    def hull(kids: tuple[TreeNode, ...]) -> OpenInterval:
-        return OpenInterval(kids[0].start, kids[-1].end)
-
-    def nps(first_noun: int, reps: int) -> list[TreeNode]:
-        """All NP trees over noun first_noun followed by reps PP patterns."""
+    def nps(reps: int) -> list[str]:
+        """All NP texts over a noun followed by reps PP patterns."""
         if reps == 0:
-            return [noun(first_noun)]
-        out = []
-        for absorbed in range(reps):
-            for left in nps(first_noun, absorbed):
-                for inner in nps(first_noun + absorbed + 1, reps - absorbed - 1):
-                    pp_kids = (prep(first_noun + absorbed), inner)
-                    pp = TreeNode("PP", hull(pp_kids), children=pp_kids)
-                    kids = (left, pp)
-                    out.append(TreeNode("NP", hull(kids), children=kids))
-        return out
+            return ["(NP (N N))"]
+        return [
+            f"(NP {left} (PP (P P) {inner}))"
+            for absorbed in range(reps)
+            for left in nps(absorbed)
+            for inner in nps(reps - absorbed - 1)
+        ]
 
-    return [ParseTree(root) for root in nps(0, n)]
+    return [parse_bracketed(text) for text in nps(n)]
 
 
 def random_binary_tree(word_count: int, rng: np.random.Generator) -> ParseTree:
@@ -102,18 +85,11 @@ def random_binary_tree(word_count: int, rng: np.random.Generator) -> ParseTree:
     """
     if word_count < 1:
         raise UsageError("word_count must be at least 1")
-    units: list[TreeNode] = []
-    for k in range(word_count):
-        span = OpenInterval(float(k), float(k + 1))
-        units.append(TreeNode("X", span, word=f"w{k}"))
+    units = [f"(X w{k})" for k in range(word_count)]
     while len(units) > 1:
         at = int(rng.integers(0, len(units) - 1))
-        kids = (units[at], units[at + 1])
-        merged = TreeNode(
-            "X", OpenInterval(kids[0].start, kids[1].end), children=kids
-        )
-        units[at : at + 2] = [merged]
-    return ParseTree(units[0])
+        units[at : at + 2] = [f"(X {units[at]} {units[at + 1]})"]
+    return parse_bracketed(units[0])
 
 
 def strip_single_word_phrases(tree: ParseTree) -> ParseTree:

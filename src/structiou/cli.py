@@ -45,7 +45,6 @@ from .stats import GroupRecord, group_sample, spearman
 from .treebank import (
     BoundaryTable,
     ParseTree,
-    TreeNode,
     compact_silence,
     project_even,
     project_to_time,
@@ -205,7 +204,12 @@ def cmd_eval(args) -> int:
 def cmd_parseval(args) -> int:
     gold, pred = _read_corpora(args)
     mode = _mode(args)
-    scores = [parseval_f1(g, p, mode) for g, p in zip(gold, pred)]
+    scores = []
+    for k, (g, p) in enumerate(zip(gold, pred)):
+        try:
+            scores.append(parseval_f1(g, p, mode))
+        except DataError as exc:
+            raise DataError(f"sentence {k}: {exc}") from exc
     micro = score_from_counts(
         sum(s.matched for s in scores),
         sum(s.gold_brackets for s in scores),
@@ -226,6 +230,8 @@ def cmd_parseval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     trees = _read(args.gold, read_tree_file)
     reference, tables = _read_timed(trees, args.gold_bounds, "gold")
     if not trees:
@@ -371,17 +377,15 @@ def cmd_correlate(args) -> int:
 # oracle-check
 
 
-def _node_payload(node: TreeNode) -> dict:
-    return {
-        "label": node.label,
-        "start": node.start,
-        "end": node.end,
-        "word": node.word,
-        "children": [_node_payload(c) for c in node.children],
-    }
+def _tree_payload(tree: ParseTree) -> dict:
+    """A tree that ``parse_bracketed`` reads back, with its node times."""
+    return {"bracketed": serialize_bracketed(tree),
+            "starts": tree.starts.tolist(), "ends": tree.ends.tolist()}
 
 
 def cmd_oracle_check(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     failures = 0
     for trial in range(args.trials):
@@ -406,8 +410,8 @@ def cmd_oracle_check(args) -> int:
                 "solver_objective": dp.objective,
                 "oracle_objective": ref,
                 "reference": reference,
-                "tree1": _node_payload(t1.root),
-                "tree2": _node_payload(t2.root),
+                "tree1": _tree_payload(t1),
+                "tree2": _tree_payload(t2),
             }
             path = out_dir / f"oracle_counterexample_{trial}.json"
             path.write_text(json.dumps(payload, indent=2), encoding="utf-8")

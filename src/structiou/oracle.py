@@ -14,9 +14,11 @@ Above the branch-and-bound size guard, ``ted_objective`` audits the
 solver instead: the objective recast as Zhang & Shasha's tree edit
 distance, computed by a plain scalar program.
 
-It also holds the two ancestry helpers that the audit and the tests use
-to check alignments: a postorder view of a tree, where node j lies below
-node i iff ``first[i] <= j < i``, and the pairwise conflict test.
+Both read the trees' arrays, and touch the node view only to return
+``Alignment.pairs``. The module also holds the two ancestry helpers that
+the tests use to check alignments: an index from a tree's nodes to their
+postorder positions, where node j lies below node i iff ``first[i] <= j
+< i``, and the pairwise conflict test.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import enum
 import numpy as np
 
 from .align import Alignment, MatchMode
-from .errors import CapacityError
-from .intervals import OpenInterval, iou_matrix
-from .treebank import ParseTree, TreeNode
+from .errors import CapacityError, UsageError
+from .intervals import iou_matrix
+from .treebank import ParseTree, TreeNode, _respanned, parse_bracketed
 
 __all__ = [
     "OracleVariant",
@@ -40,26 +42,26 @@ __all__ = [
 ]
 
 MAX_PAIR_PRODUCT = 200
+ALPHABET = ("A", "B", "C")  # random_timed_tree's labels
 
 
 class TreeIndex:
-    """Postorder view of a tree with O(1) ancestry queries."""
+    """O(1) ancestry queries on a tree's nodes, by their postorder index."""
 
     def __init__(self, tree: ParseTree):
-        self.tree = tree
-        self.nodes, self.first = tree.nodes, tree.first
-        self.index = {id(n): i for i, n in enumerate(self.nodes)}
-        self.starts, self.ends = tree.starts, tree.ends
+        self.first = tree.first
+        self.index = {id(n): i for i, n in enumerate(tree.nodes)}
 
     def is_ancestor(self, p: TreeNode, q: TreeNode) -> bool:
         """True iff p is a strict ancestor of q."""
         i, j = self.index[id(p)], self.index[id(q)]
         return self.first[i] <= j < i
 
-    def ancestor_matrix(self) -> np.ndarray:
-        """anc[i, j] is True iff node i is a strict ancestor of node j."""
-        idx = np.arange(len(self.nodes))
-        return (self.first[:, None] <= idx) & (idx < idx[:, None])
+
+def _ancestors(tree: ParseTree) -> np.ndarray:
+    """anc[i, j] is True iff node i is a strict ancestor of node j."""
+    idx = np.arange(tree.node_count)
+    return (tree.first[:, None] <= idx) & (idx < idx[:, None])
 
 
 def conflicted(
@@ -100,16 +102,10 @@ def oracle_alignment(
             f"{t1.node_count} x {t2.node_count} nodes exceeds the "
             f"{MAX_PAIR_PRODUCT}-pair oracle guard"
         )
-    idx1, idx2 = TreeIndex(t1), TreeIndex(t2)
-    n1, n2 = len(idx1.nodes), len(idx2.nodes)
-    weights = iou_matrix(idx1.starts, idx1.ends, idx2.starts, idx2.ends)
+    n1, n2 = t1.node_count, t2.node_count
+    weights = iou_matrix(t1.starts, t1.ends, t2.starts, t2.ends)
     if mode is MatchMode.LABELED:
-        labels1 = [m.label for m in idx1.nodes]
-        labels2 = [m.label for m in idx2.nodes]
-        for i in range(n1):
-            for j in range(n2):
-                if labels1[i] != labels2[j]:
-                    weights[i, j] = 0.0
+        weights[np.array(t1.labels)[:, None] != np.array(t2.labels)] = 0.0
 
     cand = [(i, j) for i in range(n1) for j in range(n2) if weights[i, j] > 0.0]
     cand.sort(key=lambda ij: (-weights[ij[0], ij[1]], ij[0], ij[1]))
@@ -117,8 +113,7 @@ def oracle_alignment(
     if m == 0:
         return Alignment(pairs=(), objective=0.0)
 
-    anc1 = idx1.ancestor_matrix()
-    anc2 = idx2.ancestor_matrix()
+    anc1, anc2 = _ancestors(t1), _ancestors(t2)
     check_crossing = variant is OracleVariant.ORDER_CONSISTENT
 
     compat = np.zeros((m, m), dtype=bool)
@@ -130,9 +125,7 @@ def oracle_alignment(
             if anc1[i, k] != anc2[j, l] or anc1[k, i] != anc2[l, j]:
                 continue
             if check_crossing and not anc1[i, k] and not anc1[k, i]:
-                if (idx1.starts[i] < idx1.starts[k]) != (
-                    idx2.starts[j] < idx2.starts[l]
-                ):
+                if (t1.starts[i] < t1.starts[k]) != (t2.starts[j] < t2.starts[l]):
                     continue
             compat[a, b] = compat[b, a] = True
 
@@ -159,7 +152,7 @@ def oracle_alignment(
 
     recurse(0, 0.0)
     pairs = tuple(
-        (idx1.nodes[cand[a][0]], idx2.nodes[cand[a][1]])
+        (t1.nodes[cand[a][0]], t2.nodes[cand[a][1]])
         for a in sorted(best_set, key=lambda a: cand[a])
     )
     return Alignment(pairs=pairs, objective=float(best_val))
@@ -178,14 +171,11 @@ def ted_objective(
     size guard.
     """
     mode = MatchMode.coerce(mode)
-    idx1, idx2 = TreeIndex(t1), TreeIndex(t2)
-    rename = 1.0 - iou_matrix(idx1.starts, idx1.ends, idx2.starts, idx2.ends)
+    rename = 1.0 - iou_matrix(t1.starts, t1.ends, t2.starts, t2.ends)
     if mode is MatchMode.LABELED:
-        labels1 = np.array([m.label for m in idx1.nodes])
-        labels2 = np.array([m.label for m in idx2.nodes])
-        rename[labels1[:, None] != labels2] = np.inf
+        rename[np.array(t1.labels)[:, None] != np.array(t2.labels)] = np.inf
     rename = rename.tolist()
-    lml1, lml2 = idx1.first.tolist(), idx2.first.tolist()
+    lml1, lml2 = t1.first.tolist(), t2.first.tolist()
     td = [[0.0] * len(lml2) for _ in lml1]  # subtree-to-subtree distance
     for k1 in sorted({l: k for k, l in enumerate(lml1)}.values()):
         for k2 in sorted({l: k for k, l in enumerate(lml2)}.values()):
@@ -209,10 +199,7 @@ def ted_objective(
 
 
 def random_timed_tree(
-    rng: np.random.Generator,
-    max_nodes: int,
-    alphabet: tuple[str, ...] = ("A", "B", "C"),
-    allow_gaps: bool = True,
+    rng: np.random.Generator, max_nodes: int, allow_gaps: bool = True
 ) -> ParseTree:
     """A random valid timed tree with at most max_nodes labeled nodes.
 
@@ -220,15 +207,14 @@ def random_timed_tree(
     wrappers, and leaf intervals drawn from sorted random time points
     (with or without silence between leaves).
     """
+    if max_nodes < 1:
+        raise UsageError(f"max_nodes must be at least 1, got {max_nodes}")
     for _ in range(64):
-        tree = _random_tree_attempt(rng, max_nodes, alphabet, allow_gaps)
+        tree = _random_tree_attempt(rng, max_nodes, allow_gaps)
         if tree.node_count <= max_nodes:
             return tree
     # Fall back to the smallest possible tree.
-    word = "w"
-    return ParseTree(
-        TreeNode(alphabet[0], OpenInterval(0.0, 1.0), word=word)
-    )
+    return parse_bracketed(f"({ALPHABET[0]} w)")
 
 
 def _spaced_points(rng, count: int, min_gap: float = 1e-3) -> np.ndarray:
@@ -239,31 +225,30 @@ def _spaced_points(rng, count: int, min_gap: float = 1e-3) -> np.ndarray:
     return pts
 
 
-def _random_tree_attempt(rng, max_nodes, alphabet, allow_gaps):
+def _random_tree_attempt(rng, max_nodes, allow_gaps):
     n_leaves = int(rng.integers(1, max(2, max_nodes // 2 + 1)))
     if allow_gaps and rng.random() < 0.5:
         pts = _spaced_points(rng, 2 * n_leaves)
-        spans = [(pts[2 * i], pts[2 * i + 1]) for i in range(n_leaves)]
+        starts, ends = pts[0::2], pts[1::2]
     else:
         pts = _spaced_points(rng, n_leaves + 1)
-        spans = [(pts[i], pts[i + 1]) for i in range(n_leaves)]
+        starts, ends = pts[:-1], pts[1:]
 
-    def build(lo: int, hi: int) -> TreeNode:
-        label = str(rng.choice(alphabet))
+    def build(lo: int, hi: int) -> str:
+        """The bracketed text of a subtree over leaves lo..hi-1."""
+        label = rng.choice(ALPHABET)
         width = hi - lo
         if width == 1:
-            a, b = spans[lo]
-            node = TreeNode(label, OpenInterval(a, b), word=f"w{lo}")
+            text = f"({label} w{lo})"
         else:
             parts = 3 if width >= 3 and rng.random() < 0.25 else 2
             cuts = sorted(rng.choice(range(lo + 1, hi), size=parts - 1,
                                      replace=False))
             bounds = [lo, *map(int, cuts), hi]
-            kids = tuple(build(a, b) for a, b in zip(bounds, bounds[1:]))
-            hull = OpenInterval(kids[0].start, kids[-1].end)
-            node = TreeNode(label, hull, children=kids)
+            kids = " ".join(build(a, b) for a, b in zip(bounds, bounds[1:]))
+            text = f"({label} {kids})"
         while rng.random() < 0.2:
-            node = TreeNode(str(rng.choice(alphabet)), node.interval, (node,))
-        return node
+            text = f"({rng.choice(ALPHABET)} {text})"
+        return text
 
-    return ParseTree(build(0, n_leaves))
+    return _respanned(parse_bracketed(build(0, n_leaves)), starts, ends)

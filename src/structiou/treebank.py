@@ -17,9 +17,10 @@ them, so each node is the same object on every access. A leaf
 (preterminal in parsing terms) carries its word as a payload; the
 payload is not a node. Node equality is identity, so the same shape
 built twice gives distinct nodes, which is what alignment and
-validation need. A tree can also be built from a root node, as the
-generators and perturbations do; one postorder walk then derives its
-arrays, and that root is its view.
+validation need. A tree can also be built from a root node; one
+postorder walk then derives its arrays, and that root is its view.
+Nothing in this package builds trees that way: the generators write
+bracketed text and parse it, and the perturbations build arrays.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
     leaves,
+    parse_bracketed,
     serialize_bracketed,
     write_boundary_file,
 )
@@ -283,6 +284,17 @@ class TestParseval:
         ])
         assert code == 2
 
+    def test_word_count_mismatch_names_sentence(self, tmp_path, capsys):
+        gold = tmp_path / "gold.trees"
+        gold.write_text("(X a)\n(S (X a) (X b) (X c))\n", encoding="utf-8")
+        pred = tmp_path / "pred.trees"
+        pred.write_text("(X a)\n(S (X a) (X b))\n", encoding="utf-8")
+        code = main(["parseval", "--gold", str(gold), "--pred", str(pred)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sentence 1: word count mismatch: gold 3, predicted 2\n"
+        )
+
 
 class TestPerturb:
     def test_delta_zero_round_trips(self, corpus, tmp_path):
@@ -366,6 +378,20 @@ class TestPerturb:
         assert capsys.readouterr().err == (
             "error: gold sentence 0: tree has 2 leaves but table has 1 rows\n"
         )
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_exit1(self, reps, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "p"
+        code = main([
+            "perturb", "--gold", corpus["gold.trees"],
+            "--gold-bounds", corpus["gold.bounds"], "--mode", "noise",
+            "--delta", "0.5", "--reps", reps, "--out", str(out_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --reps must be at least 1, got {reps}\n"
+        )
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("mode", ["noise", "insert", "delete"])
     def test_golden_digest(self, mode, tmp_path):
@@ -589,6 +615,42 @@ class TestOracleCheck:
         assert {"tree1", "tree2", "solver_objective", "oracle_objective"} <= set(
             payload
         )
+
+    def test_dump_reloads(self, tmp_path, monkeypatch):
+        from structiou.align import Alignment
+
+        def broken(t1, t2, mode, variant):
+            return Alignment(pairs=(), objective=1e6)
+
+        monkeypatch.setattr("structiou.cli.oracle_alignment", broken)
+        code = main([
+            "oracle-check", "--trials", "1", "--max-nodes", "8",
+            "--seed", "0", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        payload = json.loads((tmp_path / "oracle_counterexample_0.json").read_text())
+        # trial 0 scores the first two trees the seed draws
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        for key in ("tree1", "tree2"):
+            tree, dump = random_timed_tree(rng, 8), payload[key]
+            reloaded = parse_bracketed(dump["bracketed"])
+            assert reloaded.labels == tree.labels
+            assert reloaded.words == tree.words
+            assert reloaded.first.tolist() == tree.first.tolist()
+            assert reloaded.depth.tolist() == tree.depth.tolist()
+            assert dump["starts"] == tree.starts.tolist()
+            assert dump["ends"] == tree.ends.tolist()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "-3"], "--trials must be at least 1, got -3"),
+        (["--max-nodes", "0"], "max_nodes must be at least 1, got 0"),
+    ], ids=["trials", "max-nodes"])
+    def test_empty_audit_exit1(self, argv, message, capsys):
+        code = main(["oracle-check", "--seed", "0", *argv])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
 
 
 def test_unknown_command_exit1():

@@ -56,10 +56,9 @@ def measure_pair(src: str, shape: str, words: int) -> dict:
     import structiou
     from structiou.align import max_weight_alignment
     from structiou.ambiguity import random_binary_tree
-    from structiou.intervals import OpenInterval
     from structiou.perturb import perturb_noise
     from structiou.treebank import (
-        BoundaryRow, BoundaryTable, ParseTree, TreeNode, leaves, project_to_time)
+        BoundaryRow, BoundaryTable, parse_bracketed, project_to_time)
 
     if Path(structiou.__file__).resolve().parent != Path(src).resolve() / "structiou":
         raise SystemExit(f"structiou imported from {structiou.__file__}, not {src}")
@@ -67,13 +66,13 @@ def measure_pair(src: str, shape: str, words: int) -> dict:
     if shape == "binary":
         tree = random_binary_tree(words, rng)
     else:
-        node = TreeNode("X", OpenInterval(words - 1.0, float(words)), word="w")
-        for k in range(words - 2, -1, -1):
-            leaf = TreeNode("X", OpenInterval(float(k), k + 1.0), word="w")
-            node = TreeNode("X", OpenInterval(float(k), float(words)), (leaf, node))
-        tree = ParseTree(node)
+        text = "(X w)"
+        for _ in range(words - 1):
+            text = f"(X (X w) {text})"
+        tree = parse_bracketed(text)
+    # parse_bracketed puts word k at (k, k + 1)
     table = BoundaryTable(tuple(
-        BoundaryRow(leaf.word, leaf.start, leaf.end) for leaf in leaves(tree.root)))
+        BoundaryRow(tree.words[k], float(k), k + 1.0) for k in range(words)))
     pair = (project_to_time(tree, perturb_noise(table, JITTER, rng)), tree)
 
     seconds = []
