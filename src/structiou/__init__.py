@@ -12,8 +12,7 @@ from .intervals import OpenInterval, iou
 from .metric import CorpusScore, SentenceScore, struct_iou_corpus, struct_iou_sentence
 from .oracle import (
     OracleVariant,
-    TreeIndex,
-    conflicted,
+    alignment_problems,
     oracle_alignment,
     random_timed_tree,
 )

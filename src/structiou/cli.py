@@ -34,7 +34,7 @@ from .ambiguity import ambiguity_report
 from .errors import CapacityError, DataError, UsageError
 from .metric import struct_iou_corpus
 from .oracle import (
-    OracleVariant,
+    alignment_problems,
     oracle_alignment,
     random_timed_tree,
     ted_objective,
@@ -232,11 +232,11 @@ def cmd_parseval(args) -> int:
 def cmd_perturb(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    spec = PerturbSpec(args.mode, args.delta, args.seed)
     trees = _read(args.gold, read_tree_file)
     reference, tables = _read_timed(trees, args.gold_bounds, "gold")
     if not trees:
         raise DataError("empty corpus")
-    spec = PerturbSpec(args.mode, args.delta, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = _mode(args)
@@ -244,13 +244,9 @@ def cmd_perturb(args) -> int:
     for rep in range(args.reps):
         perturbed_trees: list[ParseTree] = []
         perturbed_tables: list[BoundaryTable] = []
-        for k, (tree, table, timed) in enumerate(zip(trees, tables, reference)):
+        for k, (table, timed) in enumerate(zip(tables, reference)):
             rng = sentence_rng(args.seed, rep, k)
-            if spec.mode == "noise":
-                _, new_table = apply_perturbation(timed, table, spec, rng)
-                new_tree = project_to_time(tree, new_table)
-            else:
-                new_tree, new_table = apply_perturbation(timed, table, spec, rng)
+            new_tree, new_table = apply_perturbation(timed, table, spec, rng)
             perturbed_trees.append(new_tree)
             perturbed_tables.append(new_table)
         with open(out_dir / f"rep{rep}.trees", "w", encoding="utf-8") as f:
@@ -393,14 +389,14 @@ def cmd_oracle_check(args) -> int:
         t2 = random_timed_tree(rng, args.max_nodes)
         mode = MatchMode.LABELED if trial % 2 else MatchMode.UNLABELED
         dp = max_weight_alignment(t1, t2, mode)
+        problems = alignment_problems(t1, t2, dp, mode)
         try:
             reference = "oracle"
-            ref = oracle_alignment(
-                t1, t2, mode, OracleVariant.ORDER_CONSISTENT
-            ).objective
+            ref = oracle_alignment(t1, t2, mode).objective
         except CapacityError:  # too big for branch and bound
             reference, ref = "ted", ted_objective(t1, t2, mode)
-        if abs(dp.objective - ref) > 1e-9:
+        mismatch = abs(dp.objective - ref) > 1e-9
+        if mismatch or problems:
             failures += 1
             out_dir = Path(args.out) if args.out else Path.cwd()
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -410,15 +406,15 @@ def cmd_oracle_check(args) -> int:
                 "solver_objective": dp.objective,
                 "oracle_objective": ref,
                 "reference": reference,
+                "problems": problems,
                 "tree1": _tree_payload(t1),
                 "tree2": _tree_payload(t2),
             }
             path = out_dir / f"oracle_counterexample_{trial}.json"
             path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-            _print_error(
-                f"trial {trial}: solver {dp.objective!r} != {reference} "
-                f"{ref!r}; wrote {path}"
-            )
+            reason = (f"solver {dp.objective!r} != {reference} {ref!r}"
+                      if mismatch else problems[0])
+            _print_error(f"trial {trial}: {reason}; wrote {path}")
     print(f"trials={args.trials} passed={args.trials - failures} failed={failures}")
     return EXIT_CHECK if failures else EXIT_OK
 

@@ -1,24 +1,20 @@
 """Exhaustive alignment solver for small trees, used to audit the DP.
 
 Branch and bound over candidate node pairs sorted by weight, with the
-sum of remaining weights as the (admissible) bound. Intended for trees
-up to roughly 20x20 nodes; a hard guard rejects anything bigger.
+sum of remaining weights as the (admissible) bound. A hard guard
+rejects trees of more than MAX_PAIR_PRODUCT node pairs.
 
-Two constraint variants are supported: the ancestry-consistency rules
-alone, or those rules plus the non-crossing requirement the dynamic
-program enforces. The second is what the shipped metric computes; the
-first exists to measure whether crossing matchings could ever score
-higher.
+Two matched pairs must use distinct nodes and have the same ancestry in
+both trees. The non-crossing rule that the DP enforces needs no check
+here: unrelated nodes of a valid tree are disjoint in time, so of two
+crossing pairs at least one has IoU 0, and the oracle matches only
+pairs with positive IoU. ``alignment_problems`` checks any alignment against these rules,
+the labels, non-crossing and the objective.
 
-Above the branch-and-bound size guard, ``ted_objective`` audits the
-solver instead: the objective recast as Zhang & Shasha's tree edit
-distance, computed by a plain scalar program.
-
-Both read the trees' arrays, and touch the node view only to return
-``Alignment.pairs``. The module also holds the two ancestry helpers that
-the tests use to check alignments: an index from a tree's nodes to their
-postorder positions, where node j lies below node i iff ``first[i] <= j
-< i``, and the pairwise conflict test.
+Above the guard, ``ted_objective`` audits the solver instead: the
+objective recast as Zhang & Shasha's tree edit distance, computed by a
+plain scalar program. All of these read the trees' arrays, where node j
+lies below node i iff ``first[i] <= j < i``.
 """
 
 from __future__ import annotations
@@ -29,13 +25,12 @@ import numpy as np
 
 from .align import Alignment, MatchMode
 from .errors import CapacityError, UsageError
-from .intervals import iou_matrix
-from .treebank import ParseTree, TreeNode, _respanned, parse_bracketed
+from .intervals import iou, iou_matrix
+from .treebank import ParseTree, _respanned, parse_bracketed
 
 __all__ = [
     "OracleVariant",
-    "TreeIndex",
-    "conflicted",
+    "alignment_problems",
     "oracle_alignment",
     "random_timed_tree",
     "ted_objective",
@@ -45,49 +40,68 @@ MAX_PAIR_PRODUCT = 200
 ALPHABET = ("A", "B", "C")  # random_timed_tree's labels
 
 
-class TreeIndex:
-    """O(1) ancestry queries on a tree's nodes, by their postorder index."""
-
-    def __init__(self, tree: ParseTree):
-        self.first = tree.first
-        self.index = {id(n): i for i, n in enumerate(tree.nodes)}
-
-    def is_ancestor(self, p: TreeNode, q: TreeNode) -> bool:
-        """True iff p is a strict ancestor of q."""
-        i, j = self.index[id(p)], self.index[id(q)]
-        return self.first[i] <= j < i
+def _ancestors(tree: ParseTree, nodes: np.ndarray) -> np.ndarray:
+    """anc[a, b] is True iff node nodes[a] is a strict ancestor of nodes[b]."""
+    return (tree.first[nodes][:, None] <= nodes) & (nodes < nodes[:, None])
 
 
-def _ancestors(tree: ParseTree) -> np.ndarray:
-    """anc[i, j] is True iff node i is a strict ancestor of node j."""
-    idx = np.arange(tree.node_count)
-    return (tree.first[:, None] <= idx) & (idx < idx[:, None])
+def _compatible(
+    t1: ParseTree, t2: ParseTree, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """compat[a, b]: node pairs (rows[a], cols[a]) and (rows[b], cols[b])
+    use distinct nodes and have the same ancestry in both trees."""
+    same = _ancestors(t1, rows) == _ancestors(t2, cols)
+    return same & same.T & (rows[:, None] != rows) & (cols[:, None] != cols)
 
 
-def conflicted(
-    pair1: tuple[TreeNode, TreeNode],
-    pair2: tuple[TreeNode, TreeNode],
-    index1: TreeIndex,
-    index2: TreeIndex,
-) -> bool:
-    """Whether two matchings disagree on an ancestor/descendant relation.
+def alignment_problems(
+    t1: ParseTree,
+    t2: ParseTree,
+    alignment: Alignment,
+    mode: MatchMode | str = MatchMode.LABELED,
+) -> list[str]:
+    """Return the constraints an alignment breaks; empty means feasible.
 
-    Given matchings (p1, q1) and (p2, q2) over the same two trees, the
-    pair is conflicted when p1's ancestor (or descendant) relation to p2
-    differs from q1's relation to q2.
+    Every pair's nodes must belong to their trees and, in labeled mode,
+    share a label. Any two pairs must use distinct nodes and the same
+    ancestry on both sides, and two unrelated pairs must keep their
+    postorder (left-to-right) order on both sides. The pairs' IoU sum
+    must equal the objective. Problems name a pair by its nodes'
+    postorder indices.
     """
-    p1, q1 = pair1
-    p2, q2 = pair2
-    if index1.is_ancestor(p1, p2) != index2.is_ancestor(q1, q2):
-        return True
-    if index1.is_ancestor(p2, p1) != index2.is_ancestor(q2, q1):
-        return True
-    return False
+    mode = MatchMode.coerce(mode)
+    index1, index2 = ({id(n): i for i, n in enumerate(t.nodes)} for t in (t1, t2))
+    try:
+        pairs = [(index1[id(p)], index2[id(q)]) for p, q in alignment.pairs]
+    except KeyError:
+        return ["alignment names a node outside its tree"]
+    problems = []
+    if mode is MatchMode.LABELED:
+        problems += [f"pair {(i, j)} matches {t1.labels[i]} to {t2.labels[j]}"
+                     for i, j in pairs if t1.labels[i] != t2.labels[j]]
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    compat = _compatible(t1, t2, rows, cols)
+    anc1 = _ancestors(t1, rows)
+    reordered = (rows[:, None] < rows) != (cols[:, None] < cols)
+    crossed = compat & ~(anc1 | anc1.T) & reordered
+    for bad, what in ((~compat, "share a node or disagree on ancestry"),
+                      (crossed, "cross")):
+        problems += [
+            f"pairs {pairs[a]} and {pairs[b]} {what}"
+            for a, b in zip(*np.nonzero(np.triu(bad, 1)))
+        ]
+    total = sum(iou(p.interval, q.interval) for p, q in alignment.pairs)
+    if not abs(total - alignment.objective) <= 1e-9 * max(1.0, total):
+        problems.append(
+            f"matched IoU sum {total!r} != objective {alignment.objective!r}"
+        )
+    return problems
 
 
 class OracleVariant(enum.Enum):
+    """The oracle's constraint set; it has one, see the module docstring."""
+
     ORDER_CONSISTENT = "order_consistent"
-    ANCESTRY_ONLY = "ancestry_only"
 
 
 def oracle_alignment(
@@ -102,34 +116,18 @@ def oracle_alignment(
             f"{t1.node_count} x {t2.node_count} nodes exceeds the "
             f"{MAX_PAIR_PRODUCT}-pair oracle guard"
         )
-    n1, n2 = t1.node_count, t2.node_count
     weights = iou_matrix(t1.starts, t1.ends, t2.starts, t2.ends)
     if mode is MatchMode.LABELED:
         weights[np.array(t1.labels)[:, None] != np.array(t2.labels)] = 0.0
 
-    cand = [(i, j) for i in range(n1) for j in range(n2) if weights[i, j] > 0.0]
-    cand.sort(key=lambda ij: (-weights[ij[0], ij[1]], ij[0], ij[1]))
-    m = len(cand)
+    rows, cols = np.nonzero(weights > 0.0)
+    w = weights[rows, cols]
+    order = np.lexsort((cols, rows, -w))  # heaviest first, then by node
+    rows, cols, w = rows[order], cols[order], w[order]
+    m = len(w)
     if m == 0:
         return Alignment(pairs=(), objective=0.0)
-
-    anc1, anc2 = _ancestors(t1), _ancestors(t2)
-    check_crossing = variant is OracleVariant.ORDER_CONSISTENT
-
-    compat = np.zeros((m, m), dtype=bool)
-    for a, (i, j) in enumerate(cand):
-        for b in range(a + 1, m):
-            k, l = cand[b]
-            if i == k or j == l:
-                continue
-            if anc1[i, k] != anc2[j, l] or anc1[k, i] != anc2[l, j]:
-                continue
-            if check_crossing and not anc1[i, k] and not anc1[k, i]:
-                if (t1.starts[i] < t1.starts[k]) != (t2.starts[j] < t2.starts[l]):
-                    continue
-            compat[a, b] = compat[b, a] = True
-
-    w = np.array([weights[i, j] for i, j in cand])
+    compat = _compatible(t1, t2, rows, cols)
     suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
 
     best_val = 0.0
@@ -143,17 +141,16 @@ def oracle_alignment(
             best_set = list(chosen)
         if pos == m or value + suffix[pos] <= best_val:
             return
-        a = pos
-        if all(compat[a, b] for b in chosen):
-            chosen.append(a)
-            recurse(pos + 1, value + w[a])
+        if all(compat[pos, b] for b in chosen):
+            chosen.append(pos)
+            recurse(pos + 1, value + w[pos])
             chosen.pop()
         recurse(pos + 1, value)
 
     recurse(0, 0.0)
     pairs = tuple(
-        (t1.nodes[cand[a][0]], t2.nodes[cand[a][1]])
-        for a in sorted(best_set, key=lambda a: cand[a])
+        (t1.nodes[rows[a]], t2.nodes[cols[a]])
+        for a in sorted(best_set, key=lambda a: (rows[a], cols[a]))
     )
     return Alignment(pairs=pairs, objective=float(best_val))
 

@@ -8,12 +8,14 @@ processing order.
 
 Noise jitters each interior boundary toward a neighbor by a uniform
 fraction, updating left to right so each move sees the already-moved
-left neighbor. Insert splits words at uniform positions with
-probability delta each. Delete removes interior boundaries with
-probability delta each and repairs the tree as if merging the two
-words at each deleted boundary, left to right: the merged word's
-preterminal keeps the left label, hangs under the two words' lowest
-common ancestor, and any internal node left childless is pruned.
+left neighbor, and keeps the tree's shape. Insert splits words at
+uniform positions with probability delta each. Delete removes interior
+boundaries with probability delta each and repairs the tree as if
+merging the two words at each deleted boundary, left to right: the
+merged word's preterminal keeps the left label, hangs under the two
+words' lowest common ancestor, and any internal node left childless is
+pruned. In all three modes ``apply_perturbation`` returns the tree
+projected onto the perturbed boundary rows.
 
 Insert and delete build the perturbed tree's postorder arrays in one
 pass over the input's, and take every node's time from the new
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .treebank import BoundaryRow, BoundaryTable, ParseTree, _hulls
+from .errors import DataError, UsageError
+from .treebank import BoundaryRow, BoundaryTable, ParseTree, _hulls, project_to_time
 
 __all__ = [
     "PerturbSpec",
@@ -67,9 +69,9 @@ class PerturbSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise DataError(f"unknown perturbation mode {self.mode!r}")
+            raise UsageError(f"unknown perturbation mode {self.mode!r}")
         if not 0.0 <= self.delta <= 1.0:
-            raise DataError(f"delta must be in [0, 1], got {self.delta}")
+            raise UsageError(f"delta must be in [0, 1], got {self.delta}")
 
 
 def sentence_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -271,10 +273,12 @@ def apply_perturbation(
 ) -> tuple[ParseTree, BoundaryTable]:
     """Dispatch one sentence through the chosen perturbation.
 
-    Noise alters the table only; the caller re-projects the tree.
+    ``tree`` is projected onto ``table``, and the returned tree is
+    projected onto the returned table.
     """
     if spec.mode == "noise":
-        return tree, perturb_noise(table, spec.delta, rng)
+        new_table = perturb_noise(table, spec.delta, rng)
+        return project_to_time(tree, new_table), new_table
     if spec.mode == "insert":
         return perturb_insert(tree, table, spec.delta, rng)
     return perturb_delete(tree, table, spec.delta, rng)

@@ -334,14 +334,15 @@ def read_tree_file(stream: TextIO | Iterable[str]) -> list[ParseTree]:
 def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
     """Read blank-line-separated blocks of ``word<TAB>start<TAB>end`` rows.
 
-    Leading and trailing blank lines are tolerated; an empty block between
-    two populated blocks is a data error. Times must be finite, and every
-    row at least ``MIN_LENGTH`` seconds long.
+    Leading and trailing blank (or whitespace-only) lines are tolerated;
+    two or more blank lines between populated blocks are an empty block,
+    a data error. Times must be finite, and every row at least
+    ``MIN_LENGTH`` seconds long.
     """
     tables: list[BoundaryTable] = []
     block: list[BoundaryRow] = []
     block_start_line = 0
-    saw_separator_at = 0
+    blanks = 0  # blank lines since the last row
 
     def close_block():
         nonlocal block
@@ -352,14 +353,14 @@ def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped:
-            if block:
-                close_block()
-                saw_separator_at = lineno
-            elif tables and saw_separator_at:
-                raise DataError(f"empty block at line {saw_separator_at}")
+            close_block()
+            blanks += 1
             continue
         if not block:
+            if tables and blanks > 1:
+                raise DataError(f"empty block at line {lineno - blanks}")
             block_start_line = lineno
+        blanks = 0
         parts = stripped.split("\t")
         if len(parts) != 3:
             raise DataError(

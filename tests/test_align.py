@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from structiou.align import MatchMode, PairSolver, max_weight_alignment
+from structiou.align import Alignment, MatchMode, PairSolver, max_weight_alignment
 from structiou.ambiguity import random_binary_tree
 from structiou.intervals import OpenInterval, iou
-from structiou.oracle import TreeIndex, conflicted, random_timed_tree
+from structiou.oracle import alignment_problems, random_timed_tree
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
@@ -44,32 +44,37 @@ def conflict_trees():
 
 
 class TestConflicted:
-    def test_ancestor_one_side_only(self, conflict_trees):
+    """Two matchings that disagree on ancestry, through alignment_problems."""
+
+    @staticmethod
+    def problems(conflict_trees, *labels):
+        """Problems of the unlabeled alignment of these label pairs."""
         t1, t2 = conflict_trees
-        i1, i2 = TreeIndex(t1), TreeIndex(t2)
         n1, n2 = by_label(t1), by_label(t2)
+        pairs = tuple((n1[a], n2[b]) for a, b in labels)
+        objective = sum(iou(p.interval, q.interval) for p, q in pairs)
+        return alignment_problems(t1, t2, Alignment(pairs, objective), "unlabeled")
+
+    def test_ancestor_one_side_only(self, conflict_trees):
         # A is an ancestor of E, but G is not an ancestor of H
-        assert conflicted((n1["A"], n2["G"]), (n1["E"], n2["H"]), i1, i2)
+        assert self.problems(conflict_trees, ("A", "G"), ("E", "H")) == [
+            "pairs (4, 0) and (2, 1) share a node or disagree on ancestry"
+        ]
 
     def test_descendant_mismatch(self, conflict_trees):
-        t1, t2 = conflict_trees
-        i1, i2 = TreeIndex(t1), TreeIndex(t2)
-        n1, n2 = by_label(t1), by_label(t2)
         # C is not an ancestor of A, but F is an ancestor of H
-        assert conflicted((n1["C"], n2["F"]), (n1["A"], n2["H"]), i1, i2)
+        assert self.problems(conflict_trees, ("C", "F"), ("A", "H")) == [
+            "pairs (3, 2) and (4, 1) share a node or disagree on ancestry"
+        ]
 
     def test_rule_four(self, conflict_trees):
-        t1, t2 = conflict_trees
-        i1, i2 = TreeIndex(t1), TreeIndex(t2)
-        n1, n2 = by_label(t1), by_label(t2)
         # B is not a descendant of C, but H is a descendant of F
-        assert conflicted((n1["B"], n2["H"]), (n1["C"], n2["F"]), i1, i2)
+        assert self.problems(conflict_trees, ("B", "H"), ("C", "F")) == [
+            "pairs (0, 1) and (3, 2) share a node or disagree on ancestry"
+        ]
 
     def test_consistent_pair(self, conflict_trees):
-        t1, t2 = conflict_trees
-        i1, i2 = TreeIndex(t1), TreeIndex(t2)
-        n1, n2 = by_label(t1), by_label(t2)
-        assert not conflicted((n1["A"], n2["F"]), (n1["C"], n2["H"]), i1, i2)
+        assert self.problems(conflict_trees, ("A", "F"), ("C", "H")) == []
 
 
 class TestMaxWeightAlignment:
@@ -136,7 +141,7 @@ class TestMaxWeightAlignment:
             mode = "labeled" if trial % 2 else "unlabeled"
             out = max_weight_alignment(t1, t2, mode)
             assert out.objective <= min(t1.node_count, t2.node_count) + 1e-9
-            _assert_feasible(t1, t2, out, mode)
+            assert alignment_problems(t1, t2, out, mode) == []
 
     def test_objective_matches_pair_weights(self):
         rng = np.random.default_rng(31)
@@ -177,19 +182,6 @@ def _relabel_unique(tree):
         )
 
     return ParseTree(rebuild(tree.root))
-
-
-def _assert_feasible(t1, t2, alignment, mode):
-    i1, i2 = TreeIndex(t1), TreeIndex(t2)
-    pairs = alignment.pairs
-    seen1 = {id(a) for a, _ in pairs}
-    seen2 = {id(b) for _, b in pairs}
-    assert len(seen1) == len(pairs) and len(seen2) == len(pairs)
-    if mode == "labeled":
-        assert all(a.label == b.label for a, b in pairs)
-    for x in range(len(pairs)):
-        for y in range(x + 1, len(pairs)):
-            assert not conflicted(pairs[x], pairs[y], i1, i2)
 
 
 def _right_chain_pair(words, seed):

@@ -139,6 +139,34 @@ class TestEval:
             "error: gold sentence 1: tree has 2 leaves but table has 1 rows\n"
         )
 
+    def test_stdout_matches_out(self, corpus, tmp_path, capsys):
+        argv = [
+            "eval",
+            "--gold", corpus["gold.trees"],
+            "--pred", corpus["pred.trees"],
+            "--gold-bounds", corpus["gold.bounds"],
+            "--pred-bounds", corpus["pred.bounds"],
+        ]
+        out = tmp_path / "scores.tsv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_fewer_boundary_blocks_exit2(self, corpus, tmp_path, capsys):
+        gold = tmp_path / "two.trees"
+        gold.write_text(GOLD_TREE + GOLD_TREE, encoding="utf-8")
+        code = main([
+            "eval",
+            "--gold", str(gold),
+            "--pred", str(gold),
+            "--gold-bounds", corpus["gold.bounds"],
+            "--pred-bounds", corpus["gold.bounds"],
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gold: 2 trees but 1 boundary blocks\n"
+        )
+
     @pytest.mark.parametrize("role", ["gold", "pred"])
     def test_boundary_error_names_file(self, corpus, tmp_path, capsys, role):
         bad = tmp_path / "g.bounds"
@@ -393,6 +421,20 @@ class TestPerturb:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("delta", ["1.5", "-0.1", "nan"])
+    def test_delta_out_of_range_exit1(self, delta, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "p"
+        code = main([
+            "perturb", "--gold", corpus["gold.trees"],
+            "--gold-bounds", corpus["gold.bounds"], "--mode", "noise",
+            "--delta", delta, "--out", str(out_dir),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: delta must be in [0, 1], got {float(delta)}\n"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("mode", ["noise", "insert", "delete"])
     def test_golden_digest(self, mode, tmp_path):
         """Byte-identical trees, boundaries and summary on a seeded corpus.
@@ -531,6 +573,29 @@ class TestCorrelate:
         assert "# degenerate\ttrue" in out.read_text()
 
 
+    def test_headerless_two_columns(self, tmp_path):
+        a = tmp_path / "a.tsv"
+        a.write_text(
+            "".join(f"{i}\t{(i * 7) % 11 + i / 100}\n" for i in range(30)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "rho.tsv"
+        code = main([
+            "correlate", str(a), str(a),
+            "--group-size", "5", "--groups", "40", "--seed", "3",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "# spearman\t1.0000" in out.read_text().splitlines()
+
+    def test_unrecognized_header_exit2(self, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        a.write_text("sentence\tscore\tweight\n0\t0.5\t1\n", encoding="utf-8")
+        assert main(["correlate", str(a), str(a)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {a}: unrecognized score file format\n"
+        )
+
     def test_groups_without_brackets_exit2(self, tmp_path, capsys):
         words = tmp_path / "words.trees"
         words.write_text("(UH yeah)\n(UH uh)\n(UH huh)\n", encoding="utf-8")
@@ -599,7 +664,7 @@ class TestOracleCheck:
     def test_injected_fault_exits_3(self, tmp_path, monkeypatch, capsys):
         from structiou.align import Alignment
 
-        def broken(t1, t2, mode, variant):
+        def broken(*args):
             return Alignment(pairs=(), objective=1e6)
 
         monkeypatch.setattr("structiou.cli.oracle_alignment", broken)
@@ -616,10 +681,34 @@ class TestOracleCheck:
             payload
         )
 
+    def test_recovery_fault_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the solver's alignment loses a pair but keeps its objective, so
+        # only the pair audit can tell
+        from structiou.align import Alignment, max_weight_alignment
+
+        def dropped(*args):
+            out = max_weight_alignment(*args)
+            return Alignment(out.pairs[:-1], out.objective)
+
+        monkeypatch.setattr("structiou.cli.max_weight_alignment", dropped)
+        code = main([
+            "oracle-check", "--trials", "6", "--max-nodes", "6",
+            "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        dumps = list(tmp_path.glob("oracle_counterexample_*.json"))
+        assert dumps
+        for dump in dumps:
+            payload = json.loads(dump.read_text())
+            assert payload["solver_objective"] == payload["oracle_objective"]
+            assert payload["problems"]
+            assert payload["problems"][-1].startswith("matched IoU sum")
+        assert "matched IoU sum" in capsys.readouterr().err
+
     def test_dump_reloads(self, tmp_path, monkeypatch):
         from structiou.align import Alignment
 
-        def broken(t1, t2, mode, variant):
+        def broken(*args):
             return Alignment(pairs=(), objective=1e6)
 
         monkeypatch.setattr("structiou.cli.oracle_alignment", broken)

@@ -187,9 +187,12 @@ class TestBoundaryFile:
         with pytest.raises(DataError, match="empty block"):
             read_boundary_file(src)
 
-    def test_trailing_blanks_tolerated(self):
-        src = io.StringIO("a\t0\t1\n\n")
-        assert len(read_boundary_file(src)) == 1
+    @pytest.mark.parametrize(
+        "text", ["a\t0\t1\n\n", "a\t0\t1\n\n\n", "a\t0\t1\n\n  \n"],
+        ids=["one", "two", "whitespace"],
+    )
+    def test_trailing_blanks_tolerated(self, text):
+        assert len(read_boundary_file(io.StringIO(text))) == 1
 
     def test_numpy_times_round_trip(self):
         # numpy 2 scalars repr as np.float64(...), which reads back as text
