@@ -200,6 +200,79 @@ class TestEval:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("longer", ["gold", "pred"])
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "bounds"])
+    def test_tree_count_mismatch_message(self, longer, even, tmp_path, capsys):
+        # the longer file's extra tree (and block) comes last
+        counts = {"gold": 2, "pred": 2, longer: 3}
+        argv = ["eval", "--even"] if even else ["eval"]
+        for role, count in counts.items():
+            trees = tmp_path / f"{role}.trees"
+            trees.write_text(count * GOLD_TREE, encoding="utf-8")
+            bounds = tmp_path / f"{role}.bounds"
+            bounds.write_text("\n".join(count * [GOLD_BOUNDS]), encoding="utf-8")
+            argv += [f"--{role}", str(trees)]
+            argv += [] if even else [f"--{role}-bounds", str(bounds)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: gold has {counts['gold']} trees but pred has {counts['pred']}\n"
+        )
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_pred_boundary_block_count_mismatch(self, corpus, blocks, tmp_path,
+                                                capsys):
+        trees = tmp_path / "two.trees"
+        trees.write_text(2 * GOLD_TREE, encoding="utf-8")
+        gold_bounds = tmp_path / "gold.bounds"
+        gold_bounds.write_text(GOLD_BOUNDS + "\n" + GOLD_BOUNDS, encoding="utf-8")
+        pred_bounds = tmp_path / "pred.bounds"
+        pred_bounds.write_text("\n".join(blocks * [GOLD_BOUNDS]), encoding="utf-8")
+        code = main([
+            "eval", "--gold", str(trees), "--pred", str(trees),
+            "--gold-bounds", str(gold_bounds), "--pred-bounds", str(pred_bounds),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: pred: 2 trees but {blocks} boundary blocks\n"
+        )
+
+    def test_pred_syntax_error_after_valid_lines(self, corpus, tmp_path, capsys):
+        pred = tmp_path / "pred.trees"
+        pred.write_text(GOLD_TREE + "# comment\n" + GOLD_TREE + "(NP (PRP Your) turn)\n",
+                        encoding="utf-8")
+        gold = tmp_path / "gold.trees"
+        gold.write_text(3 * GOLD_TREE, encoding="utf-8")
+        code = main(["eval", "--gold", str(gold), "--pred", str(pred), "--even"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred}: line 4: constituent mixes words and "
+            "subconstituents (at character 19)\n"
+        )
+
+    def test_missing_pred_bounds_file(self, corpus, tmp_path, capsys):
+        missing = tmp_path / "missing.bounds"
+        code = main([
+            "eval", "--gold", corpus["gold.trees"], "--pred", corpus["pred.trees"],
+            "--gold-bounds", corpus["gold.bounds"], "--pred-bounds", str(missing),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {missing}: No such file or directory\n"
+        )
+
+    def test_boundary_row_without_three_fields(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "bad.bounds"
+        bad.write_text("Your\t2.56\t2.72\nturn 2.72\t3.01\n", encoding="utf-8")
+        code = main([
+            "eval", "--gold", corpus["gold.trees"], "--pred", corpus["gold.trees"],
+            "--gold-bounds", corpus["gold.bounds"], "--pred-bounds", str(bad),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: expected 'word<TAB>start<TAB>end', "
+            "got 'turn 2.72\\t3.01'\n"
+        )
+
 
     def test_golden_digest(self, tmp_path):
         """Byte-identical TSV on a seeded corpus, in both match modes.

@@ -177,6 +177,15 @@ class TestBoundaryFile:
         with pytest.raises(DataError, match=f"^line {line}: "):
             read_boundary_file(io.StringIO(text))
 
+    @pytest.mark.parametrize("row", ["a\t0", "a 0\t1", "a\t0\t1\tb"])
+    def test_row_without_three_fields(self, row):
+        src = io.StringIO(f"x\t0\t0.5\n{row}\n")
+        with pytest.raises(DataError) as info:
+            read_boundary_file(src)
+        assert str(info.value) == (
+            f"line 2: expected 'word<TAB>start<TAB>end', got {row!r}"
+        )
+
     def test_overlap(self):
         src = io.StringIO("a\t0\t1.5\nb\t1.0\t2\n")
         with pytest.raises(DataError, match="overlap"):
