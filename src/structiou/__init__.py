@@ -31,6 +31,8 @@ from .treebank import (
     ParseTree,
     TreeNode,
     compact_silence,
+    iter_boundary_file,
+    iter_tree_file,
     parse_bracketed,
     project_even,
     project_to_time,

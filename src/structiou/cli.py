@@ -25,7 +25,9 @@ import json
 import math
 import os
 import sys
+from itertools import repeat, zip_longest
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -46,13 +48,15 @@ from .treebank import (
     BoundaryTable,
     ParseTree,
     compact_silence,
-    project_even,
+    iter_boundary_file,
+    iter_tree_file,
     project_to_time,
-    read_boundary_file,
-    read_tree_file,
     serialize_bracketed,
     write_boundary_file,
 )
+# Not called here any more: bench/tracing.py patches these two names on
+# this module, so they stay importable from it.
+from .treebank import read_boundary_file, read_tree_file  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,47 +124,62 @@ def _mode(args) -> MatchMode:
     return MatchMode.UNLABELED if args.unlabeled else MatchMode.LABELED
 
 
-def _read(path: str, reader):
-    """Run ``reader`` over the file, naming the file in its errors."""
+def _read(path: str, reader=iter) -> Iterator:
+    """Yield what ``reader`` yields over the file (by default its lines),
+    naming the file in its errors."""
     try:
         with open(path, encoding="utf-8") as f:
-            return reader(f)
+            yield from reader(f)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _read_corpora(args) -> tuple[list[ParseTree], list[ParseTree]]:
-    """The gold and predicted tree files, checked to pair up."""
-    gold = _read(args.gold, read_tree_file)
-    pred = _read(args.pred, read_tree_file)
-    if len(gold) != len(pred):
-        raise DataError(
-            f"gold has {len(gold)} trees but pred has {len(pred)}"
-        )
-    if not gold:
-        raise DataError("empty corpus")
-    return gold, pred
+def _in_step(first: Iterator, second: Iterator, mismatch: str) -> Iterator[tuple]:
+    """Items of the two iterators in pairs. If one ends first, both are
+    read to their ends, and ``mismatch`` is raised with the two counts."""
+    for k, (a, b) in enumerate(zip_longest(first, second)):
+        if a is None or b is None:
+            raise DataError(mismatch.format(
+                k + (a is not None) + sum(1 for _ in first),
+                k + (b is not None) + sum(1 for _ in second),
+            ))
+        yield a, b
 
 
-def _read_timed(
-    trees: list[ParseTree], bounds_path: str, role: str
-) -> tuple[list[ParseTree], list[BoundaryTable]]:
-    """The trees projected onto the boundary file's compacted tables,
-    and the tables; errors name the file, or the role and sentence."""
-    tables = [compact_silence(t) for t in _read(bounds_path, read_boundary_file)]
-    if len(tables) != len(trees):
-        raise DataError(
-            f"{role}: {len(trees)} trees but {len(tables)} boundary blocks"
-        )
-    timed = []
-    for k, (tree, table) in enumerate(zip(trees, tables)):
+def _sentences(
+    path: str, role: str, bounds: str | None = None
+) -> Iterator[tuple[ParseTree, BoundaryTable | None]]:
+    """One side's trees, one at a time, each with its compacted boundary
+    table and projected onto it when ``bounds`` names a boundary file
+    (else with None). Errors name the file, or the role and sentence."""
+    trees = _read(path, iter_tree_file)
+    if bounds is None:
+        yield from zip(trees, repeat(None))
+        return
+    tables = _read(bounds, iter_boundary_file)
+    blocks = _in_step(trees, tables, role + ": {} trees but {} boundary blocks")
+    for k, (tree, table) in enumerate(blocks):
+        table = compact_silence(table)
         try:
-            timed.append(project_to_time(tree, table))
+            timed = project_to_time(tree, table)
         except DataError as exc:
             raise DataError(f"{role} sentence {k}: {exc}") from exc
-    return timed, tables
+        yield timed, table
+
+
+def _paired(args) -> Iterator[tuple[ParseTree, ParseTree]]:
+    """The gold and predicted sentences in step, projected when ``args``
+    names boundary files; unprojected trees are word-indexed."""
+    sides = [
+        _sentences(getattr(args, role), role, getattr(args, f"{role}_bounds", None))
+        for role in ("gold", "pred")
+    ]
+    for (gold, _), (pred, _) in _in_step(*sides, "gold has {} trees but pred has {}"):
+        yield gold, pred
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +193,8 @@ def cmd_eval(args) -> int:
         raise UsageError(
             "eval needs either --even or both --gold-bounds and --pred-bounds"
         )
-    gold, pred = _read_corpora(args)
-    if args.even:
-        gold, pred = map(project_even, gold), map(project_even, pred)
-    else:
-        gold = _read_timed(gold, args.gold_bounds, "gold")[0]
-        pred = _read_timed(pred, args.pred_bounds, "pred")[0]
     corpus = struct_iou_corpus(
-        list(zip(pred, gold)),
+        ((pred, gold) for gold, pred in _paired(args)),
         _mode(args),
         literal_normalization=args.literal_normalization,
     )
@@ -202,14 +215,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_parseval(args) -> int:
-    gold, pred = _read_corpora(args)
     mode = _mode(args)
     scores = []
-    for k, (g, p) in enumerate(zip(gold, pred)):
+    for k, (g, p) in enumerate(_paired(args)):
         try:
             scores.append(parseval_f1(g, p, mode))
         except DataError as exc:
             raise DataError(f"sentence {k}: {exc}") from exc
+    if not scores:
+        raise DataError("empty corpus")
     micro = score_from_counts(
         sum(s.matched for s in scores),
         sum(s.gold_brackets for s in scores),
@@ -233,10 +247,10 @@ def cmd_perturb(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
     spec = PerturbSpec(args.mode, args.delta, args.seed)
-    trees = _read(args.gold, read_tree_file)
-    reference, tables = _read_timed(trees, args.gold_bounds, "gold")
-    if not trees:
+    sentences = list(_sentences(args.gold, "gold", args.gold_bounds))
+    if not sentences:
         raise DataError("empty corpus")
+    reference = [timed for timed, _ in sentences]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = _mode(args)
@@ -244,7 +258,7 @@ def cmd_perturb(args) -> int:
     for rep in range(args.reps):
         perturbed_trees: list[ParseTree] = []
         perturbed_tables: list[BoundaryTable] = []
-        for k, (table, timed) in enumerate(zip(tables, reference)):
+        for k, (timed, table) in enumerate(sentences):
             rng = sentence_rng(args.seed, rep, k)
             new_tree, new_table = apply_perturbation(timed, table, spec, rng)
             perturbed_trees.append(new_tree)
@@ -255,7 +269,7 @@ def cmd_perturb(args) -> int:
         with open(out_dir / f"rep{rep}.bounds", "w", encoding="utf-8") as f:
             write_boundary_file(perturbed_tables, f)
         corpus = struct_iou_corpus(
-            list(zip(perturbed_trees, reference)),
+            zip(perturbed_trees, reference),
             mode,
             literal_normalization=args.literal_normalization,
         )
@@ -292,9 +306,9 @@ def _read_score_records(path: str) -> list[tuple[float, float]]:
     parseval format (micro-F1 reconstruction from counts), and generic
     index/value files (plain mean).
     """
-    lines = _read(path, lambda f: [
-        ln.rstrip("\n") for ln in f if ln.strip() and not ln.startswith("#")
-    ])
+    lines = [
+        ln.rstrip("\n") for ln in _read(path) if ln.strip() and not ln.startswith("#")
+    ]
     if not lines:
         raise DataError(f"{path}: no rows")
     header = lines[0].split("\t")

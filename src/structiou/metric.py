@@ -10,6 +10,7 @@ of sentence scores, which keeps one-word utterances from dominating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .align import MatchMode, PairSolver
 from .errors import DataError
@@ -18,7 +19,7 @@ from .treebank import ParseTree
 __all__ = ["SentenceScore", "CorpusScore", "struct_iou_sentence", "struct_iou_corpus"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceScore:
     value: float
     objective: float
@@ -57,16 +58,18 @@ def struct_iou_sentence(
 
 
 def struct_iou_corpus(
-    pairs: list[tuple[ParseTree, ParseTree]],
+    pairs: Iterable[tuple[ParseTree, ParseTree]],
     mode: MatchMode | str = MatchMode.LABELED,
     literal_normalization: bool = False,
 ) -> CorpusScore:
-    if not pairs:
-        raise DataError("empty corpus")
+    """Score the pairs in order, each as it is drawn, so a generator's
+    trees can be dropped once scored."""
     scores = tuple(
         struct_iou_sentence(t1, t2, mode, literal_normalization)
         for t1, t2 in pairs
     )
+    if not scores:
+        raise DataError("empty corpus")
     total_weight = sum(s.n1 + s.n2 for s in scores)
     value = sum((s.n1 + s.n2) * s.value for s in scores) / total_weight
     return CorpusScore(value=value, per_sentence=scores)

@@ -44,7 +44,9 @@ __all__ = [
     "BoundaryTable",
     "parse_bracketed",
     "serialize_bracketed",
+    "iter_tree_file",
     "read_tree_file",
+    "iter_boundary_file",
     "read_boundary_file",
     "write_boundary_file",
     "compact_silence",
@@ -313,51 +315,51 @@ def serialize_bracketed(tree: ParseTree) -> str:
     return " ".join(parts)
 
 
-def read_tree_file(stream: TextIO | Iterable[str]) -> list[ParseTree]:
-    """Read one tree per line; blank lines and ``#`` comments are skipped."""
-    trees = []
+def iter_tree_file(stream: TextIO | Iterable[str]) -> Iterator[ParseTree]:
+    """Yield one tree per line; blank lines and ``#`` comments are skipped."""
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            trees.append(parse_bracketed(stripped))
+            yield parse_bracketed(stripped)
         except TreeSyntaxError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
-    return trees
+
+
+def read_tree_file(stream: TextIO | Iterable[str]) -> list[ParseTree]:
+    """Every tree of ``iter_tree_file``, in a list."""
+    return list(iter_tree_file(stream))
 
 
 # ---------------------------------------------------------------------------
 # Boundary tables
 
 
-def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
-    """Read blank-line-separated blocks of ``word<TAB>start<TAB>end`` rows.
+def iter_boundary_file(
+    stream: TextIO | Iterable[str],
+) -> Iterator[BoundaryTable]:
+    """Yield the blank-line-separated blocks of ``word<TAB>start<TAB>end`` rows.
 
-    Leading and trailing blank (or whitespace-only) lines are tolerated;
-    two or more blank lines between populated blocks are an empty block,
-    a data error. Times must be finite, and every row at least
-    ``MIN_LENGTH`` seconds long.
+    Each table is yielded once the blank line (or end of input) after it
+    is read. Leading and trailing blank (or whitespace-only) lines are
+    tolerated; two or more blank lines between populated blocks are an
+    empty block, a data error. Times must be finite, and every row at
+    least ``MIN_LENGTH`` seconds long.
     """
-    tables: list[BoundaryTable] = []
     block: list[BoundaryRow] = []
-    block_start_line = 0
+    block_start_line = 0  # 0 until the first block starts
     blanks = 0  # blank lines since the last row
-
-    def close_block():
-        nonlocal block
-        if block:
-            tables.append(_validated_table(block, block_start_line))
-            block = []
-
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped:
-            close_block()
+            if block:
+                yield _validated_table(block, block_start_line)
+                block = []
             blanks += 1
             continue
         if not block:
-            if tables and blanks > 1:
+            if block_start_line and blanks > 1:
                 raise DataError(f"empty block at line {lineno - blanks}")
             block_start_line = lineno
         blanks = 0
@@ -381,8 +383,13 @@ def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
                 f"line {lineno}: word shorter than {MIN_LENGTH} seconds"
             )
         block.append(BoundaryRow(word, start, end))
-    close_block()
-    return tables
+    if block:
+        yield _validated_table(block, block_start_line)
+
+
+def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
+    """Every table of ``iter_boundary_file``, in a list."""
+    return list(iter_boundary_file(stream))
 
 
 def _validated_table(rows: list[BoundaryRow], start_line: int) -> BoundaryTable:

@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structiou.cli import main
 from structiou.oracle import random_timed_tree, ted_objective
@@ -993,3 +997,140 @@ def test_json_has_no_bare_nan(case, tmp_path):
         assert payload["struct_iou_plausible_lowest"] is None
     elif case == "correlate-degenerate":
         assert payload["spearman"] is None
+
+
+# ---------------------------------------------------------------------------
+# Undecodable and mutated inputs
+
+
+def _input_argv(case, files, tmp_path):
+    """A command reading ``files``, for the undecodable-input cases."""
+    out = str(tmp_path / "out")
+    if case == "eval":
+        return ["eval", "--gold", files["gold"], "--pred", files["pred"],
+                "--gold-bounds", files["gold_bounds"],
+                "--pred-bounds", files["pred_bounds"], "--out", out]
+    if case == "eval-even":
+        return ["eval", "--gold", files["gold"], "--pred", files["pred"],
+                "--even", "--out", out]
+    if case == "parseval":
+        return ["parseval", "--gold", files["gold"], "--pred", files["pred"],
+                "--out", out]
+    if case == "perturb":
+        return ["perturb", "--gold", files["gold"],
+                "--gold-bounds", files["gold_bounds"], "--mode", "noise",
+                "--delta", "0.3", "--out", out]
+    return ["correlate", files["scores"], files["scores"], "--out", out]
+
+
+@pytest.mark.parametrize("case, name", [
+    ("eval-even", "gold"), ("eval", "pred"), ("eval", "gold_bounds"),
+    ("eval", "pred_bounds"), ("parseval", "pred"), ("perturb", "gold"),
+    ("perturb", "gold_bounds"), ("correlate", "scores"),
+])
+def test_non_utf8_input_names_file(case, name, tmp_path, capsys):
+    files = _seeded_corpus(tmp_path, sentences=3)
+    files["scores"] = _write_values(tmp_path / "scores.tsv", [0.5, 0.25, 1.0])
+    path = Path(files[name])
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    assert main(_input_argv(case, files, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    )
+
+
+def test_mutated_input_exits_0_or_2(tmp_path, capsys):
+    """Byte edits to one file of a valid eval input never raise past main,
+    and every data error names an input file or a side."""
+    files = _seeded_corpus(tmp_path, sentences=3)
+    names = ("gold", "pred", "gold_bounds", "pred_bounds")
+    originals = {name: Path(files[name]).read_bytes() for name in names}
+    argv = _input_argv("eval", files, tmp_path)
+    located = tuple(f"error: {files[name]}: " for name in names) + (
+        "error: gold ", "error: gold: ", "error: pred ", "error: pred: ")
+    edits = st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                  st.floats(0, 1, exclude_max=True),
+                  st.sampled_from(b"()\t\n .0123456789eE-+nainfXw\xc3\xa9\xff\x80")
+                  | st.integers(0, 255)),
+        min_size=1, max_size=4,
+    )
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(names), edits=edits)
+    def check(name, edits):
+        data = bytearray(originals[name])
+        for kind, where, byte in edits:
+            at = int(where * len(data))
+            if kind == "replace":
+                data[at] = byte
+            elif kind == "insert":
+                data.insert(at, byte)
+            else:
+                del data[at]
+        path = Path(files[name])
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        finally:
+            path.write_bytes(originals[name])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith(located), err
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Memory
+
+
+def _cycled_corpus(directory, sentences):
+    """eval argv over ``sentences`` pairs cycling through 20 seeded
+    random_timed_tree pairs, each side with its own boundary file."""
+    directory.mkdir()
+    rng = np.random.default_rng(16)
+    pairs = [(random_timed_tree(rng, 40), random_timed_tree(rng, 40))
+             for _ in range(20)]
+    argv = ["eval", "--out", str(directory / "scores.tsv")]
+    for side, role in enumerate(("gold", "pred")):
+        trees = [pairs[k % len(pairs)][side] for k in range(sentences)]
+        path = directory / f"{role}.trees"
+        path.write_text("".join(serialize_bracketed(t) + "\n" for t in trees),
+                        encoding="utf-8")
+        bounds = directory / f"{role}.bounds"
+        with open(bounds, "w", encoding="utf-8") as f:
+            write_boundary_file((
+                BoundaryTable(tuple(
+                    BoundaryRow(leaf.word, float(leaf.start), float(leaf.end))
+                    for leaf in leaves(t.root)
+                ))
+                for t in trees
+            ), f)
+        argv += [f"--{role}", str(path), f"--{role}-bounds", str(bounds)]
+    return argv
+
+
+def _eval_peak(argv) -> int:
+    """Peak traced bytes of one eval run, above what was live before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_peak_memory_does_not_grow_with_corpus(tmp_path):
+    """eval keeps one sentence pair's trees and tables alive at a time, so
+    twenty times the sentences adds little more than their score rows."""
+    small = _cycled_corpus(tmp_path / "small", 20)
+    large = _cycled_corpus(tmp_path / "large", 400)
+    assert main(small) == 0  # warm caches before measuring
+    growth = (_eval_peak(large) - _eval_peak(small)) / (400 - 20)
+    assert growth < 1024, f"{growth:.0f} B per sentence"

@@ -144,3 +144,13 @@ class TestCorpus:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             struct_iou_corpus([], "labeled")
+
+    def test_generator_of_pairs(self, gold_timed, pred_structure_error):
+        pairs = [(pred_structure_error, gold_timed), (gold_timed, gold_timed)]
+        streamed = struct_iou_corpus((pair for pair in pairs), "labeled")
+        assert streamed == struct_iou_corpus(pairs, "labeled")
+        assert len(streamed.per_sentence) == 2
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(DataError, match="^empty corpus$"):
+            struct_iou_corpus((pair for pair in []), "labeled")
