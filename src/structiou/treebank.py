@@ -322,9 +322,10 @@ def iter_tree_file(stream: TextIO | Iterable[str]) -> Iterator[ParseTree]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            yield parse_bracketed(stripped)
+            tree = parse_bracketed(stripped)
         except TreeSyntaxError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
+        yield tree
 
 
 def read_tree_file(stream: TextIO | Iterable[str]) -> list[ParseTree]:
