@@ -42,12 +42,6 @@ class MatchMode(enum.Enum):
     LABELED = "labeled"
     UNLABELED = "unlabeled"
 
-    @classmethod
-    def coerce(cls, value: "MatchMode | str") -> "MatchMode":
-        if isinstance(value, MatchMode):
-            return value
-        return cls(value)
-
 
 @dataclass(frozen=True)
 class Alignment:
@@ -102,7 +96,7 @@ class PairSolver:
     """
 
     def __init__(self, t1: ParseTree, t2: ParseTree, mode: MatchMode | str):
-        self.mode = MatchMode.coerce(mode)
+        self.mode = MatchMode(mode)
         self.d1, self.d2 = d1, d2 = _TreeData(t1), _TreeData(t2)
         paths = [_paths(first) for first in (d1.first, d2.first, d1.flipped, d2.flipped)]
         cost = [sum(k - f for f, k in p.items()) for p in paths]

@@ -19,6 +19,7 @@ of the gold file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -80,12 +81,19 @@ def _print_error(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _write_text(out: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _os_errors(path):
+    """Raise an OS error inside the block as a data error naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from exc
+
+
+def _write_text(out: str | Path | None, text: str) -> None:
     if out:
-        try:
+        with _os_errors(out):
             Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"{out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -252,7 +260,8 @@ def cmd_perturb(args) -> int:
         raise DataError("empty corpus")
     reference = [timed for timed, _ in sentences]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _os_errors(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     mode = _mode(args)
     rep_means = []
     for rep in range(args.reps):
@@ -263,10 +272,12 @@ def cmd_perturb(args) -> int:
             new_tree, new_table = apply_perturbation(timed, table, spec, rng)
             perturbed_trees.append(new_tree)
             perturbed_tables.append(new_table)
-        with open(out_dir / f"rep{rep}.trees", "w", encoding="utf-8") as f:
+        path = out_dir / f"rep{rep}.trees"
+        with _os_errors(path), open(path, "w", encoding="utf-8") as f:
             for t in perturbed_trees:
                 f.write(serialize_bracketed(t) + "\n")
-        with open(out_dir / f"rep{rep}.bounds", "w", encoding="utf-8") as f:
+        path = out_dir / f"rep{rep}.bounds"
+        with _os_errors(path), open(path, "w", encoding="utf-8") as f:
             write_boundary_file(perturbed_tables, f)
         corpus = struct_iou_corpus(
             zip(perturbed_trees, reference),
@@ -278,7 +289,7 @@ def cmd_perturb(args) -> int:
     stddev = float(np.std(rep_means))
     summary = {"mode": args.mode, "delta": str(args.delta), "reps": args.reps,
                "mean_struct_iou": mean, "stddev_struct_iou": stddev}
-    (out_dir / "summary.tsv").write_text(_tsv([summary]), encoding="utf-8")
+    _write_text(out_dir / "summary.tsv", _tsv([summary]))
     print(f"wrote {args.reps} repetitions to {out_dir} (mean {_fmt(mean)})")
     return EXIT_OK
 
@@ -315,9 +326,15 @@ def _read_score_records(path: str) -> list[tuple[float, float]]:
     rows = [ln.split("\t") for ln in lines[1:]]
     col = {name: i for i, name in enumerate(header)}
 
+    def number(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value
+
     def need(row, name):
         try:
-            return float(row[col[name]])
+            return number(row[col[name]])
         except (ValueError, IndexError):
             raise DataError(f"{path}: bad value in column {name!r}") from None
 
@@ -339,7 +356,7 @@ def _read_score_records(path: str) -> list[tuple[float, float]]:
         # headerless two-column file: index, value
         for row in [header, *rows]:
             try:
-                records.append((float(row[1]), 1.0))
+                records.append((number(row[1]), 1.0))
             except (ValueError, IndexError):
                 raise DataError(f"{path}: expected numeric second column") from None
     else:
@@ -413,7 +430,8 @@ def cmd_oracle_check(args) -> int:
         if mismatch or problems:
             failures += 1
             out_dir = Path(args.out) if args.out else Path.cwd()
-            out_dir.mkdir(parents=True, exist_ok=True)
+            with _os_errors(out_dir):
+                out_dir.mkdir(parents=True, exist_ok=True)
             payload = {
                 "trial": trial,
                 "mode": mode.value,
@@ -425,7 +443,7 @@ def cmd_oracle_check(args) -> int:
                 "tree2": _tree_payload(t2),
             }
             path = out_dir / f"oracle_counterexample_{trial}.json"
-            path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+            _write_text(path, json.dumps(payload, indent=2))
             reason = (f"solver {dp.objective!r} != {reference} {ref!r}"
                       if mismatch else problems[0])
             _print_error(f"trial {trial}: {reason}; wrote {path}")

@@ -69,7 +69,7 @@ def alignment_problems(
     must equal the objective. Problems name a pair by its nodes'
     postorder indices.
     """
-    mode = MatchMode.coerce(mode)
+    mode = MatchMode(mode)
     index1, index2 = ({id(n): i for i, n in enumerate(t.nodes)} for t in (t1, t2))
     try:
         pairs = [(index1[id(p)], index2[id(q)]) for p, q in alignment.pairs]
@@ -110,7 +110,7 @@ def oracle_alignment(
     mode: MatchMode | str = MatchMode.LABELED,
     variant: OracleVariant = OracleVariant.ORDER_CONSISTENT,
 ) -> Alignment:
-    mode = MatchMode.coerce(mode)
+    mode = MatchMode(mode)
     if t1.node_count * t2.node_count > MAX_PAIR_PRODUCT:
         raise CapacityError(
             f"{t1.node_count} x {t2.node_count} nodes exceeds the "
@@ -167,7 +167,7 @@ def ted_objective(
     Plain scalar Python in O(n1 n2 d1 d2) for depths d1 and d2, with no
     size guard.
     """
-    mode = MatchMode.coerce(mode)
+    mode = MatchMode(mode)
     rename = 1.0 - iou_matrix(t1.starts, t1.ends, t2.starts, t2.ends)
     if mode is MatchMode.LABELED:
         rename[np.array(t1.labels)[:, None] != np.array(t2.labels)] = np.inf

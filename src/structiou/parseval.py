@@ -65,7 +65,7 @@ def parseval_f1(
     Both empty bracket multisets count as a perfect match; exactly one
     empty counts as zero.
     """
-    mode = MatchMode.coerce(mode)
+    mode = MatchMode(mode)
     n_gold_words = len(gold.words)
     n_pred_words = len(pred.words)
     if n_gold_words != n_pred_words:

@@ -10,31 +10,18 @@ Noise jitters each interior boundary toward a neighbor by a uniform
 fraction, updating left to right so each move sees the already-moved
 left neighbor, and keeps the tree's shape. Insert splits words at
 uniform positions with probability delta each. Delete removes interior
-boundaries with probability delta each and repairs the tree as if
-merging the two words at each deleted boundary, left to right: the
-merged word's preterminal keeps the left label, hangs under the two
-words' lowest common ancestor, and any internal node left childless is
-pruned. In all three modes ``apply_perturbation`` returns the tree
-projected onto the perturbed boundary rows.
+boundaries with probability delta each and merges each maximal run of
+words a..b joined by deleted boundaries into one word. In all three
+modes ``apply_perturbation`` returns the tree projected onto the
+perturbed boundary rows.
 
-Insert and delete build the perturbed tree's postorder arrays in one
-pass over the input's, and take every node's time from the new
-boundary rows. Insert writes a split preterminal twice, shifting every
-later node by the splits before it. Delete turns each maximal run of
-words a..b joined by deleted boundaries into one preterminal under the
-LCA of leaves a and b: the first node after leaf b, in postorder,
-whose ``first`` is at or before leaf a. Among the LCA's children it
-goes in word order, right before the child holding leaf b, which
-starts at the least ``first`` met on the way from b to the LCA. Then,
-bottom up, a node with nothing left below it is dropped. Nodes that
-stay keep their depth; the merged word lies one below its LCA.
-
-This equals merging the run's boundaries one at a time. Each partial
-word hangs under the LCA of the words merged into it so far, so the
-last merge puts it under the LCA of the run's two ends. A node that an
-earlier merge hung the partial word under keeps only what else lies
-below it, which is what the one pass leaves there too, so both prune
-the same nodes.
+Insert and delete then rebuild the tree in one pass, ``_regrouped``. A
+word that comes from one input word (kept, or half of a split) takes
+that word's leaf slot, label and depth. A merged word takes the label
+of word a and hangs one level below the lowest common ancestor of
+leaves a and b, right before the ancestor's child that holds leaf b.
+A node with nothing left below it is dropped. Every node's time comes
+from the new boundary rows.
 """
 
 from __future__ import annotations
@@ -136,7 +123,7 @@ def perturb_insert(
     if delta == 0.0 or n == 0:
         return tree, table
     triggers = rng.uniform(0.0, 1.0, size=n)
-    splits: dict[int, float] = {}
+    replaced: dict[int, tuple] = {}
     root_is_leaf = tree.node_count == 1
     for i, row in enumerate(table.rows):
         if triggers[i] >= delta:
@@ -147,40 +134,16 @@ def perturb_insert(
         lo, hi = row.start + MIN_WORD, row.end - MIN_WORD
         if lo > hi:
             continue
-        splits[i] = min(max(point, lo), hi)
-    if not splits:
+        point = min(max(point, lo), hi)
+        left, right = _split_word_text(row.word)
+        left_word, right_word = _split_word_text(tree.words[i] or "")
+        replaced[i] = (
+            (BoundaryRow(left, row.start, point), left_word),
+            (BoundaryRow(right, point, row.end), right_word),
+        )
+    if not replaced:
         return tree, table
-
-    rows: list[BoundaryRow] = []
-    words: list[str | None] = []
-    for k, (row, word) in enumerate(zip(table.rows, tree.words)):
-        if k in splits:
-            left_text, right_text = _split_word_text(row.word)
-            rows.append(BoundaryRow(left_text, row.start, splits[k]))
-            rows.append(BoundaryRow(right_text, splits[k], row.end))
-            words.extend(_split_word_text(word or ""))
-        else:
-            rows.append(row)
-            words.append(word)
-
-    labels: list[str] = []
-    first: list[int] = []
-    depth: list[int] = []
-    at: list[int] = []  # each input node's index in the output
-    k = 0  # words so far
-    for i, (label, f, d) in enumerate(
-        zip(tree.labels, tree.first.tolist(), tree.depth.tolist())
-    ):
-        at.append(len(labels))
-        copies = 1
-        if f == i:
-            copies += k in splits
-            k += 1
-        for _ in range(copies):
-            labels.append(label)
-            first.append(at[f] if f < i else len(first))
-            depth.append(d)
-    return _tree_over(labels, first, depth, words, rows)
+    return _regrouped(tree, table, replaced, {})
 
 
 def perturb_delete(
@@ -206,64 +169,74 @@ def perturb_delete(
             a = i + 1
     if not runs:
         return tree, table
+    replaced: dict[int, tuple] = {}
+    merged: dict[tuple[int, int], tuple] = {}
+    for a, b in runs.items():
+        replaced.update(dict.fromkeys(range(a, b + 1), ()))
+        span = table.rows[a : b + 1]
+        merged[a, b] = (
+            BoundaryRow("".join(r.word for r in span), span[0].start, span[-1].end),
+            "".join(w or "" for w in tree.words[a : b + 1]),
+        )
+    return _regrouped(tree, table, replaced, merged)
 
+
+def _regrouped(
+    tree: ParseTree, table: BoundaryTable, replaced: dict, merged: dict
+) -> tuple[ParseTree, BoundaryTable]:
+    """The tree and table with word k turned into the (row, word) pairs
+    ``replaced[k]`` (kept when absent) and each run a..b into the one
+    word ``merged[a, b]``, by the rule in the module docstring."""
     first, depth = tree.first.tolist(), tree.depth.tolist()
     leaf = [i for i, f in enumerate(first) if f == i]  # node of each word
-    gone: set[int] = set()
-    # merged[p] = (a, b, lca): a run's leaf, placed right before node p
-    merged: dict[int, tuple[int, int, int]] = {}
-    for a, b in runs.items():
-        gone.update(leaf[a : b + 1])
+    # before[p] = (label, depth, (row, word)): a merged word, placed
+    # right before input node p
+    before: dict[int, tuple] = {}
+    for (a, b), pair in merged.items():
         # The LCA is the first node after leaf b whose subtree reaches
         # back to leaf a. Its child holding leaf b starts at the least
-        # first on the way; the merged leaf goes right before it.
+        # first on the way.
         lca, place = leaf[b] + 1, leaf[b]
         while first[lca] > leaf[a]:
             place = min(place, first[lca])
             lca += 1
-        merged[place] = (a, b, lca)
+        before[place] = (tree.labels[leaf[a]], depth[lca] + 1, pair)
 
-    rows: list[BoundaryRow] = []
-    words: list[str | None] = []
     labels: list[str] = []
     new_first: list[int] = []
     new_depth: list[int] = []
-    # mark[i]: output size before input node i, after any leaf placed there
+    rows: list[BoundaryRow] = []
+    words: list[str | None] = []
+    # mark[i]: output size before input node i, after any word placed there
     mark: list[int] = []
-    kept = iter(zip(table.rows, tree.words))
-    for i, (label, f) in enumerate(zip(tree.labels, first)):
-        if i in merged:
-            a, b, lca = merged[i]
-            span = table.rows[a : b + 1]
-            rows.append(BoundaryRow(
-                "".join(r.word for r in span), span[0].start, span[-1].end
-            ))
-            words.append("".join(w or "" for w in tree.words[a : b + 1]))
-            labels.append(tree.labels[leaf[a]])
+    kept = enumerate(zip(table.rows, tree.words))
+    for i, (label, f, d) in enumerate(zip(tree.labels, first, depth)):
+        if i in before:
+            merged_label, merged_depth, (row, word) = before[i]
+            labels.append(merged_label)
             new_first.append(len(new_first))
-            new_depth.append(depth[lca] + 1)
-        mark.append(len(labels))
-        if f == i:
-            row, word = next(kept)
-            if i in gone:
-                continue
+            new_depth.append(merged_depth)
             rows.append(row)
             words.append(word)
-        elif mark[f] == len(labels):
-            continue  # nothing left below: pruned
-        labels.append(label)
-        new_first.append(mark[f])
-        new_depth.append(depth[i])
-    return _tree_over(labels, new_first, new_depth, words, rows)
+        mark.append(len(labels))
+        if f == i:
+            k, pair = next(kept)
+            for row, word in replaced.get(k, (pair,)):
+                labels.append(label)
+                new_first.append(len(new_first))
+                new_depth.append(d)
+                rows.append(row)
+                words.append(word)
+        elif mark[f] < len(labels):  # else nothing is left below: dropped
+            labels.append(label)
+            new_first.append(mark[f])
+            new_depth.append(d)
 
-
-def _tree_over(labels, first, depth, words, rows) -> tuple[ParseTree, BoundaryTable]:
-    """The tree with these arrays, its node times taken from the rows."""
-    first_array = np.array(first, dtype=np.int64)
+    first_array = np.array(new_first, dtype=np.int64)
     starts = np.array([row.start for row in rows], dtype=float)
     ends = np.array([row.end for row in rows], dtype=float)
     spans = _hulls(first_array, starts, ends)
-    tree = ParseTree._of(tuple(labels), first_array, depth, *spans, tuple(words))
+    tree = ParseTree._of(tuple(labels), first_array, new_depth, *spans, tuple(words))
     return tree, BoundaryTable(tuple(rows))
 
 

@@ -512,6 +512,21 @@ class TestPerturb:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("under, reason", [
+        ("", "File exists"), ("sub", "Not a directory"),
+    ])
+    def test_out_under_a_file_exit2(self, under, reason, corpus, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out_dir = afile / under if under else afile
+        code = main([
+            "perturb", "--gold", corpus["gold.trees"],
+            "--gold-bounds", corpus["gold.bounds"], "--mode", "noise",
+            "--delta", "0.5", "--out", str(out_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {out_dir}: {reason}\n"
+
     @pytest.mark.parametrize("mode", ["noise", "insert", "delete"])
     def test_golden_digest(self, mode, tmp_path):
         """Byte-identical trees, boundaries and summary on a seeded corpus.
@@ -664,6 +679,22 @@ class TestCorrelate:
         ])
         assert code == 0
         assert "# spearman\t1.0000" in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exit2(self, bad, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        self.write_scores(a, [0.5, bad, 0.25])
+        assert main(["correlate", str(a), str(a)]) == 2
+        assert capsys.readouterr().err == f"error: {a}: bad value in column 'value'\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_headerless_non_finite_exit2(self, bad, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        a.write_text(f"0\t0.5\n1\t{bad}\n2\t0.25\n", encoding="utf-8")
+        assert main(["correlate", str(a), str(a)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {a}: expected numeric second column\n"
+        )
 
     def test_unrecognized_header_exit2(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
