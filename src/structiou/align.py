@@ -83,10 +83,6 @@ class _TreeData:
         self.starts, self.ends = self.starts[order], self.ends[order]
         self.labels = [self.labels[i] for i in order]
 
-    def index(self, node: TreeNode) -> int:
-        """The working index of a node of the tree's view."""
-        return self.rank.tolist().index(self.tree.nodes.index(node))
-
 
 class PairSolver:
     """One alignment problem over a fixed tree pair and match mode.
@@ -100,7 +96,8 @@ class PairSolver:
         self.d1, self.d2 = d1, d2 = _TreeData(t1), _TreeData(t2)
         paths = [_paths(first) for first in (d1.first, d2.first, d1.flipped, d2.flipped)]
         cost = [sum(k - f for f, k in p.items()) for p in paths]
-        if cost[2] * cost[3] < cost[0] * cost[1]:
+        self.mirrored = cost[2] * cost[3] < cost[0] * cost[1]
+        if self.mirrored:
             d1.mirror()
             d2.mirror()
             paths = paths[2:]
@@ -185,13 +182,18 @@ class PairSolver:
 
     # -- public queries -----------------------------------------------
 
-    def subtree_objective(self, p: TreeNode, q: TreeNode) -> float:
-        """Best alignment weight for the two subtrees with p matched to q.
+    def subtree_objective(self, i: int, j: int) -> float:
+        """Best alignment weight for the subtrees under postorder nodes i
+        of the first tree and j of the second, with i matched to j.
 
         Returns -inf in labeled mode when the labels differ (the two
         roots cannot be matched at all).
         """
-        value = self.F[self.d1.index(p), self.d2.index(q)]
+        if not (0 <= i < self.d1.n and 0 <= j < self.d2.n):
+            raise IndexError(f"node pair ({i}, {j}) outside the trees")
+        if self.mirrored:  # postorder node i is mirrored node _flip[i]
+            i, j = self.d1._flip[i], self.d2._flip[j]
+        value = self.F[i, j]
         return float("-inf") if value <= NEG / 2 else float(value)
 
     def alignment(self) -> Alignment:

@@ -361,6 +361,8 @@ def _read_score_records(path: str) -> list[tuple[float, float]]:
                 raise DataError(f"{path}: expected numeric second column") from None
     else:
         raise DataError(f"{path}: unrecognized score file format")
+    if not records:  # a header with no data row
+        raise DataError(f"{path}: no rows")
     return records
 
 

@@ -6,10 +6,11 @@ rejects trees of more than MAX_PAIR_PRODUCT node pairs.
 
 Two matched pairs must use distinct nodes and have the same ancestry in
 both trees. The non-crossing rule that the DP enforces needs no check
-here: unrelated nodes of a valid tree are disjoint in time, so of two
-crossing pairs at least one has IoU 0, and the oracle matches only
-pairs with positive IoU. ``alignment_problems`` checks any alignment against these rules,
-the labels, non-crossing and the objective.
+here: unrelated nodes of a valid tree are disjoint in time (see
+``treebank.validate``), so of two crossing pairs at least one has IoU 0,
+and the oracle matches only pairs with positive IoU.
+``alignment_problems`` checks any alignment against these rules, the
+labels, non-crossing and the objective.
 
 Above the guard, ``ted_objective`` audits the solver instead: the
 objective recast as Zhang & Shasha's tree edit distance, computed by a

@@ -98,22 +98,46 @@ class TestMaxWeightAlignment:
 
     def test_subtree_objective(self, gold_timed, pred_structure_error):
         solver = PairSolver(pred_structure_error, gold_timed, MatchMode.LABELED)
-        pred_np = by_label(pred_structure_error)["NP"]
-        gold_np = by_label(gold_timed)["NP"]
+        pred_np = pred_structure_error.labels.index("NP")
+        gold_np = gold_timed.labels.index("NP")
         assert solver.subtree_objective(pred_np, gold_np) == pytest.approx(3.0)
-        pred_vp = by_label(pred_structure_error)["VP"]
+        pred_vp = pred_structure_error.labels.index("VP")
         assert solver.subtree_objective(pred_vp, gold_np) == float("-inf")
+        with pytest.raises(IndexError):
+            solver.subtree_objective(pred_vp + 1, gold_np)
 
     def test_subtree_objective_leaves(self):
         same = ParseTree(TreeNode("X", OpenInterval(0, 1), word="a"))
         twin = ParseTree(TreeNode("X", OpenInterval(0, 1), word="b"))
         apart = ParseTree(TreeNode("X", OpenInterval(4, 5), word="c"))
-        assert PairSolver(same, twin, "labeled").subtree_objective(
-            same.root, twin.root
-        ) == pytest.approx(1.0)
-        assert PairSolver(same, apart, "labeled").subtree_objective(
-            same.root, apart.root
-        ) == 0.0
+        assert PairSolver(same, twin, "labeled").subtree_objective(0, 0) == 1.0
+        assert PairSolver(same, apart, "labeled").subtree_objective(0, 0) == 0.0
+
+    def test_subtree_objective_mirrored(self):
+        # right-branching chains cost less numbered right to left, so the
+        # solver mirrors them; queries still take left-to-right postorder
+        words = 6
+        text = "".join(f"(X (W w{k}) " for k in range(words - 1))
+        text += f"(W w{words - 1})" + ")" * (words - 1)
+        chain = parse_bracketed(text)
+        jitter = np.array([0.0, 0.2, -0.1, 0.3, 0.1, -0.2, 0.0])
+        t1, t2 = (
+            project_to_time(chain, BoundaryTable(tuple(
+                BoundaryRow(f"w{k}", cuts[k], cuts[k + 1]) for k in range(words)
+            )))
+            for cuts in (np.arange(words + 1.0), np.arange(words + 1.0) + jitter)
+        )
+        solver = PairSolver(t1, t2, "labeled")
+        assert solver.mirrored
+        root = t1.node_count - 1
+        assert solver.subtree_objective(root, root) == solver.objective
+        leaves1, leaves2 = (
+            np.flatnonzero(t.first == np.arange(t.node_count)).tolist() for t in (t1, t2)
+        )
+        for i in leaves1:
+            for j in leaves2:
+                expected = iou(t1.nodes[i].interval, t2.nodes[j].interval)
+                assert solver.subtree_objective(i, j) == expected
 
     def test_leaf_pairs(self):
         a = ParseTree(TreeNode("X", OpenInterval(0, 1), word="w"))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from structiou.cli import main
 from structiou.oracle import random_timed_tree, ted_objective
 from structiou.treebank import (
+    MAX_SPAN,
     BoundaryRow,
     BoundaryTable,
     leaves,
@@ -141,6 +142,22 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: gold sentence 1: tree has 2 leaves but table has 1 rows\n"
+        )
+
+    def test_span_overflow_names_sentence(self, corpus, tmp_path, capsys):
+        # scored as nan against itself before spans were bounded
+        wide = tmp_path / "wide.bounds"
+        wide.write_text("Your\t-1e308\t0\nturn\t0\t1e308\n", encoding="utf-8")
+        code = main([
+            "eval",
+            "--gold", corpus["gold.trees"],
+            "--pred", corpus["gold.trees"],
+            "--gold-bounds", str(wide),
+            "--pred-bounds", str(wide),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: gold sentence 0: boundary table spans inf seconds, over {MAX_SPAN}\n"
         )
 
     def test_stdout_matches_out(self, corpus, tmp_path, capsys):
@@ -696,6 +713,17 @@ class TestCorrelate:
             f"error: {a}: expected numeric second column\n"
         )
 
+    @pytest.mark.parametrize("header", [
+        "index\tn1\tn2\tobjective\tstruct_iou",
+        "index\tprecision\trecall\tf1\tgold_brackets\tpred_brackets",
+        "index\tvalue",
+    ], ids=["eval", "parseval", "value"])
+    def test_header_only_exit2(self, header, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        a.write_text(header + "\n# corpus\t0.5\n", encoding="utf-8")
+        assert main(["correlate", str(a), str(a)]) == 2
+        assert capsys.readouterr().err == f"error: {a}: no rows\n"
+
     def test_unrecognized_header_exit2(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         a.write_text("sentence\tscore\tweight\n0\t0.5\t1\n", encoding="utf-8")
@@ -755,6 +783,13 @@ class TestOracleCheck:
         ])
         assert code == 0
         assert "passed=40" in capsys.readouterr().out
+
+    def test_trees_up_to_200_nodes_pass(self, capsys):
+        code = main([
+            "oracle-check", "--trials", "5", "--max-nodes", "200", "--seed", "0",
+        ])
+        assert code == 0
+        assert "passed=5" in capsys.readouterr().out
 
     def test_ted_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("structiou.cli.ted_objective", lambda *args: 1e6)

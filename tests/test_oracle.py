@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from structiou.align import Alignment, max_weight_alignment
+from structiou.ambiguity import random_binary_tree
 from structiou.errors import CapacityError
 from structiou.intervals import OpenInterval, iou
 from structiou.oracle import (
@@ -9,8 +10,22 @@ from structiou.oracle import (
     alignment_problems,
     oracle_alignment,
     random_timed_tree,
+    ted_objective,
 )
-from structiou.treebank import parse_bracketed, project_even
+from structiou.perturb import (
+    perturb_delete,
+    perturb_insert,
+    perturb_noise,
+    sentence_rng,
+)
+from structiou.treebank import (
+    BoundaryRow,
+    BoundaryTable,
+    parse_bracketed,
+    project_even,
+    project_to_time,
+    validate,
+)
 
 # sha256 of 20 trees drawn from each of seeds 0, 1 and 2 (see the
 # ``tree_digest`` fixture), keyed by (max_nodes, allow_gaps). Recorded
@@ -193,3 +208,79 @@ def test_crossing_pairs_cannot_both_overlap():
         v1 = OpenInterval(pts[cut], pts[7])
         assert not (iou(u1, v1) > 0 and iou(u2, v2) > 0)
         checked += 1
+
+
+# Large pairs, where the solver's mirroring, one-segment tables and
+# top-table recovery act: the objective against the edit-distance
+# reference, and the recovered pairs against the feasibility rules. The
+# scalar reference never mirrors, so right chains stay short.
+
+
+def rows(tree):
+    """The boundary table of a tree's leaves."""
+    leaf = tree.first == np.arange(tree.node_count)
+    spans = zip(tree.words, tree.starts[leaf].tolist(), tree.ends[leaf].tolist())
+    return BoundaryTable(tuple(BoundaryRow(*span) for span in spans))
+
+
+def binary(words):
+    return random_binary_tree(words, np.random.default_rng(0))
+
+
+def chain(words, right):
+    """A chain over random word times, each internal node with one leaf
+    child, on the left (right-branching) or on the right. Its labels are X,
+    as in ``random_binary_tree``, or Y."""
+    rng = np.random.default_rng(0)
+    labels = iter(rng.choice(["X", "Y"], 2 * words - 1).tolist())
+    leaves = [f"({next(labels)} w{k})" for k in range(words)]
+    text = leaves.pop() if right else leaves.pop(0)
+    while leaves:
+        pair = (leaves.pop(), text) if right else (text, leaves.pop(0))
+        text = f"({next(labels)} {pair[0]} {pair[1]})"
+    cuts = np.cumsum(rng.uniform(0.1, 1.0, words + 1)).tolist()
+    table = BoundaryTable(tuple(
+        BoundaryRow(f"w{k}", cuts[k], cuts[k + 1]) for k in range(words)
+    ))
+    return project_to_time(parse_bracketed(text), table)
+
+
+def jittered(tree):
+    return project_to_time(tree, perturb_noise(rows(tree), 0.3, sentence_rng(0)))
+
+
+def inserted(tree):
+    return perturb_insert(tree, rows(tree), 0.3, sentence_rng(0))[0]
+
+
+def deleted(tree):
+    return perturb_delete(tree, rows(tree), 0.3, sentence_rng(0))[0]
+
+
+def binary_over(tree):
+    """A binary tree over the same word times."""
+    return project_to_time(binary(len(tree.words)), rows(tree))
+
+
+# name: (a tree, the counterpart it is scored against)
+LARGE_PAIRS = {
+    "binary-100-jittered": (lambda: binary(100), jittered),
+    "binary-50-inserted": (lambda: binary(50), inserted),
+    "binary-50-deleted": (lambda: binary(50), deleted),
+    "left-chain-100-jittered": (lambda: chain(100, right=False), jittered),
+    "left-chain-100-binary-100": (lambda: chain(100, right=False), binary_over),
+    "right-chain-25-jittered": (lambda: chain(25, right=True), jittered),
+}
+
+
+@pytest.mark.parametrize("mode", ["labeled", "unlabeled"])
+@pytest.mark.parametrize("kind", list(LARGE_PAIRS))
+def test_large_pair_objective_equals_ted(kind, mode):
+    tree, counterpart = LARGE_PAIRS[kind]
+    t1 = tree()
+    t2 = counterpart(t1)
+    assert validate(t1) == [] and validate(t2) == []
+    expected = ted_objective(t1, t2, mode)
+    out = max_weight_alignment(t1, t2, mode)
+    assert out.objective == pytest.approx(expected, abs=1e-9)
+    assert alignment_problems(t1, t2, out, mode) == []

@@ -271,3 +271,16 @@ def test_noise_preserves_node_count_and_span():
         assert out_tree.root.start == tree.root.start
         assert out_tree.root.end == tree.root.end
         assert validate(out_tree) == []
+
+
+@pytest.mark.parametrize("perturb", [perturb_insert, perturb_delete])
+def test_deep_chain_gives_valid_tree(perturb):
+    words = 1200  # deeper than Python's recursion limit
+    text = "".join(f"(X (W w{k}) " for k in range(words - 1))
+    text += f"(W w{words - 1})" + ")" * (words - 1)
+    rows = table(*[(f"w{k}", float(k), k + 1.0) for k in range(words)])
+    chain = project_to_time(parse_bracketed(text), rows)
+    out_tree, out_table = perturb(chain, rows, 0.3, sentence_rng(2, 0))
+    assert validate(out_tree) == []
+    assert len(out_tree.words) == len(out_table.rows) != words
+    assert out_tree.starts[-1] == 0.0 and out_tree.ends[-1] == words

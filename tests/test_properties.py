@@ -160,6 +160,40 @@ def test_objective_equals_ted(pair, mode):
     assert PairSolver(t1, t2, mode).objective == pytest.approx(expected, abs=1e-9)
 
 
+def corrupted(seed: int) -> ParseTree:
+    """A random tree with one end of some intervals moved to another of
+    its time points, and some children reversed; often invalid, often not."""
+    rng = np.random.default_rng(seed)
+    t = random_timed_tree(rng, MAX_NODES)
+    points = np.unique(np.concatenate([t.starts, t.ends])).tolist()
+
+    def rebuild(node: TreeNode) -> TreeNode:
+        s, e = node.start, node.end
+        if rng.random() < 0.2:
+            p = points[int(rng.integers(len(points)))]
+            s, e = (s, p) if p > s else (p, e)
+        span = OpenInterval(s, e)
+        kids = tuple(rebuild(c) for c in node.children)
+        if rng.random() < 0.1:
+            kids = kids[::-1]
+        return TreeNode(node.label, span, children=kids, word=node.word)
+
+    return ParseTree(rebuild(t.root))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(seeds)
+def test_valid_tree_overlaps_exactly_along_ancestry(s):
+    # validate's per-node rules imply this; it checks no node pairs itself
+    t = corrupted(s)
+    if validate(t):
+        return
+    n = np.arange(t.node_count)
+    below = (t.first[:, None] <= n) & (n < n[:, None])  # [i, j]: j under i
+    overlap = np.minimum.outer(t.ends, t.ends) - np.maximum.outer(t.starts, t.starts) > 0
+    assert ((below | below.T) == (overlap & (n[:, None] != n))).all()
+
+
 # Two routes to the same tree: a walk over a root, and parsing its text
 # then projecting onto its leaves' times.
 ARRAYS = ("labels", "first", "depth", "starts", "ends", "words")

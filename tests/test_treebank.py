@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from structiou.errors import DataError, TreeSyntaxError
+from structiou.metric import struct_iou_sentence
 from structiou.oracle import random_timed_tree
 from structiou.treebank import (
+    MAX_SPAN,
     BoundaryRow,
     BoundaryTable,
     compact_silence,
@@ -291,6 +293,21 @@ class TestProjection:
             "length must be at least 1e-09"
         )
 
+    def test_span_past_half_the_largest_float(self):
+        # two such spans would add to an infinite IoU union
+        tree = parse_bracketed("(NP (A a) (B b))")
+        wide = BoundaryTable((BoundaryRow("a", -1e308, 0.0), BoundaryRow("b", 0.0, 1e308)))
+        with pytest.raises(DataError) as exc:
+            project_to_time(tree, wide)
+        assert str(exc.value) == (
+            f"boundary table spans inf seconds, over {MAX_SPAN}"
+        )
+        half = MAX_SPAN / 2
+        table = BoundaryTable((BoundaryRow("a", -half, 0.0), BoundaryRow("b", 0.0, half)))
+        timed = project_to_time(tree, table)
+        assert timed.ends[-1] - timed.starts[-1] == MAX_SPAN
+        assert struct_iou_sentence(timed, timed, "labeled").value == 1.0
+
     def test_preserves_shape_and_count(self):
         tree = parse_bracketed("(A (B x) (C (D y) (E z)))")
         table = BoundaryTable(
@@ -361,6 +378,7 @@ class TestDeepChain:
         ))
         timed = project_to_time(tree, table)
         assert serialize_bracketed(timed) == text
+        assert validate(timed) == []
         root = timed.root
         assert timed.root is root
         node, k = root, 0
