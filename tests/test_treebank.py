@@ -190,8 +190,11 @@ class TestBoundaryFile:
 
     def test_overlap(self):
         src = io.StringIO("a\t0\t1.5\nb\t1.0\t2\n")
-        with pytest.raises(DataError, match="overlap"):
+        with pytest.raises(DataError) as info:
             read_boundary_file(src)
+        assert str(info.value) == (
+            "overlapping rows 0 and 1 in block starting at line 1"
+        )
 
     def test_empty_block_between_content(self):
         src = io.StringIO("a\t0\t1\n\n\n\nb\t1\t2\n")
