@@ -34,7 +34,6 @@ from .treebank import (
     iter_boundary_file,
     iter_tree_file,
     parse_bracketed,
-    project_even,
     project_to_time,
     read_boundary_file,
     read_tree_file,

@@ -43,7 +43,7 @@ from .oracle import (
     ted_objective,
 )
 from .parseval import parseval_f1, score_from_counts
-from .perturb import PerturbSpec, apply_perturbation, sentence_rng
+from .perturb import MODES, PerturbSpec, apply_perturbation, sentence_rng
 from .stats import GroupRecord, group_sample, spearman
 from .treebank import (
     BoundaryTable,
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="perturb word boundaries and score degradation")
     p.add_argument("--gold", required=True, help="tree file to perturb")
     p.add_argument("--gold-bounds", required=True, help="matching boundary file")
-    p.add_argument("--mode", required=True, choices=("noise", "insert", "delete"))
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--delta", required=True, type=float,
                    help="perturbation level in [0, 1]")
     p.add_argument("--seed", type=int, default=0)

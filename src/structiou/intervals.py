@@ -47,7 +47,9 @@ def iou_matrix(s1, e1, s2, e2, out=None) -> np.ndarray:
     temporary of the result's size at a time.
     """
     inter = np.minimum(e1[:, None], e2, out=out)
-    inter -= np.maximum(s1[:, None], s2)
+    # Intervals far apart in time can make this -inf; the clip makes it 0.
+    with np.errstate(over="ignore"):
+        inter -= np.maximum(s1[:, None], s2)
     np.clip(inter, 0.0, None, out=inter)
     union = (e1 - s1)[:, None] + (e2 - s2)
     union -= inter

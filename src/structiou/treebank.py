@@ -52,7 +52,6 @@ __all__ = [
     "write_boundary_file",
     "compact_silence",
     "project_to_time",
-    "project_even",
     "validate",
     "iter_nodes",
     "leaves",
@@ -187,9 +186,6 @@ class BoundaryRow:
 class BoundaryTable:
     rows: tuple[BoundaryRow, ...]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def is_gap_free(self) -> bool:
         return all(
             a.end == b.start for a, b in zip(self.rows, self.rows[1:])
@@ -280,7 +276,8 @@ def parse_bracketed(text: str) -> ParseTree:
         if i == end:
             raise _syntax_error(text, "unbalanced parentheses", opened)
     first_array = _frozen(first, np.int64)
-    spans = _hulls(first_array, *_unit_rows(len(words)))
+    starts = np.arange(len(words), dtype=float)
+    spans = _hulls(first_array, starts, starts + 1.0)
     return ParseTree._of(tuple(labels), first_array, depth, *spans, tuple(words))
 
 
@@ -343,8 +340,10 @@ def iter_boundary_file(
     Each table is yielded once the blank line (or end of input) after it
     is read. Leading and trailing blank (or whitespace-only) lines are
     tolerated; two or more blank lines between populated blocks are an
-    empty block, a data error. Times must be finite, and every row at
-    least ``MIN_LENGTH`` seconds long.
+    empty block, a data error. Times must be finite, every row at least
+    ``MIN_LENGTH`` seconds long and no earlier than the previous row's
+    end. Each row is checked as it is read, so the first fault in line
+    order is the one raised.
     """
     block: list[BoundaryRow] = []
     block_start_line = 0  # 0 until the first block starts
@@ -353,7 +352,7 @@ def iter_boundary_file(
         stripped = line.strip()
         if not stripped:
             if block:
-                yield _validated_table(block, block_start_line)
+                yield BoundaryTable(tuple(block))
                 block = []
             blanks += 1
             continue
@@ -381,24 +380,19 @@ def iter_boundary_file(
             raise DataError(
                 f"line {lineno}: word shorter than {MIN_LENGTH} seconds"
             )
+        if block and block[-1].end > start:
+            raise DataError(
+                f"overlapping rows {len(block) - 1} and {len(block)} in block "
+                f"starting at line {block_start_line}"
+            )
         block.append(BoundaryRow(word, start, end))
     if block:
-        yield _validated_table(block, block_start_line)
+        yield BoundaryTable(tuple(block))
 
 
 def read_boundary_file(stream: TextIO | Iterable[str]) -> list[BoundaryTable]:
     """Every table of ``iter_boundary_file``, in a list."""
     return list(iter_boundary_file(stream))
-
-
-def _validated_table(rows: list[BoundaryRow], start_line: int) -> BoundaryTable:
-    for k, (a, b) in enumerate(zip(rows, rows[1:])):
-        if a.end > b.start:
-            raise DataError(
-                f"overlapping rows {k} and {k + 1} in block starting "
-                f"at line {start_line}"
-            )
-    return BoundaryTable(tuple(rows))
 
 
 def write_boundary_file(tables: Iterable[BoundaryTable], stream: TextIO) -> None:
@@ -456,16 +450,6 @@ def project_to_time(tree: ParseTree, table: BoundaryTable) -> ParseTree:
     starts = np.array([row.start for row in rows], dtype=float)
     ends = np.array([row.end for row in rows], dtype=float)
     return _respanned(tree, starts, ends)
-
-
-def project_even(tree: ParseTree) -> ParseTree:
-    """Assign leaf k the unit interval (k, k+1), and each node its leaves' hull."""
-    return _respanned(tree, *_unit_rows(len(tree.words)))
-
-
-def _unit_rows(count: int) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.arange(count, dtype=float)
-    return starts, starts + 1.0
 
 
 def _respanned(tree: ParseTree, starts: np.ndarray, ends: np.ndarray) -> ParseTree:

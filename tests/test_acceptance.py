@@ -31,7 +31,6 @@ from structiou.treebank import (
     iter_nodes,
     leaves,
     parse_bracketed,
-    project_even,
     project_to_time,
     validate,
 )
@@ -207,10 +206,7 @@ def test_criterion_4_synthetic_ambiguity_table():
     # against ground truth 0's four rivals is 2n + 3 = words + 2, and the
     # report's cell is 100 * (2n + 3) / (4n + 1).
     small = 3
-    family = [
-        strip_single_word_phrases(project_even(t))
-        for t in enumerate_plausible(small)
-    ]
+    family = [strip_single_word_phrases(t) for t in enumerate_plausible(small)]
     objectives = [
         oracle_alignment(family[0], rival, "unlabeled").objective
         for rival in family[1:]

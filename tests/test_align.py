@@ -15,7 +15,6 @@ from structiou.treebank import (
     TreeNode,
     iter_nodes,
     parse_bracketed,
-    project_even,
     project_to_time,
 )
 
@@ -27,8 +26,8 @@ def by_label(tree):
 @pytest.fixture
 def conflict_trees():
     """Five-node tree vs three-node tree over a shared word span."""
-    t1 = project_even(parse_bracketed("(A (B x) (C (D y) (E z)))"))
-    t2 = project_even(parse_bracketed("(F (G w) (H v))"))
+    t1 = parse_bracketed("(A (B x) (C (D y) (E z)))")
+    t2 = parse_bracketed("(F (G w) (H v))")
     # place the 2-word tree over the same 3-word range
     def rescale(node, factor):
         kids = tuple(rescale(c, factor) for c in node.children)
@@ -91,9 +90,7 @@ class TestMaxWeightAlignment:
 
     def test_attachment_pair_objective(self, attachment_pair):
         right, left = attachment_pair
-        out = max_weight_alignment(
-            project_even(right), project_even(left), "unlabeled"
-        )
+        out = max_weight_alignment(right, left, "unlabeled")
         assert out.objective == pytest.approx(10.0, abs=1e-9)
 
     def test_subtree_objective(self, gold_timed, pred_structure_error):
@@ -215,13 +212,14 @@ def _right_chain_pair(words, seed):
         text = f"(X (X w) {text})"
     tree = parse_bracketed(text)
     rng = np.random.default_rng(seed)
+    return _timed(tree, rng), _timed(tree, rng)
 
-    def timed():
-        cuts = np.cumsum(rng.uniform(0.5, 1.5, words + 1)).tolist()
-        rows = tuple(BoundaryRow("w", a, b) for a, b in zip(cuts, cuts[1:]))
-        return project_to_time(tree, BoundaryTable(rows))
 
-    return timed(), timed()
+def _timed(tree, rng):
+    """The tree over words 0.5 to 1.5 s long."""
+    cuts = np.cumsum(rng.uniform(0.5, 1.5, len(tree.words) + 1)).tolist()
+    rows = tuple(BoundaryRow("w", a, b) for a, b in zip(cuts, cuts[1:]))
+    return project_to_time(tree, BoundaryTable(rows))
 
 
 def test_pairs_in_left_to_right_postorder_when_solved_mirrored():
@@ -299,6 +297,25 @@ def test_peak_memory_about_twice_F():
     assert peak < 2.6 * f_bytes
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_peak_memory_balanced_about_F_plus_top(seed):
+    """On balanced pairs the top table dominates: it has a column per
+    node of every second-tree keyroot segment. Freeing each keyroot
+    table before filling the next keeps the peak of a solve and its
+    recovery near F plus the top table (1.05-1.1x on these pairs)."""
+    rng = np.random.default_rng(seed)
+    t1, t2 = (_timed(random_binary_tree(100, rng), rng) for _ in range(2))
+    t1.nodes, t2.nodes  # recovery's node view is not the solver's memory
+    tracemalloc.start()
+    try:
+        solver = PairSolver(t1, t2, "labeled")
+        solver.alignment()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * (solver.F.nbytes + solver.top.nbytes)
+
+
 def test_scaling_stays_polynomial():
     """Runtime grows consistently with the quartic bound when doubling."""
 
@@ -306,7 +323,7 @@ def test_scaling_stays_polynomial():
         text = "(X w)"
         for _ in range(words - 1):
             text = f"(X (X w) {text})"
-        return project_even(parse_bracketed(text))
+        return parse_bracketed(text)
 
     sizes = [13, 25]  # 25 and 49 nodes
     times = []

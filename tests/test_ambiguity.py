@@ -17,7 +17,6 @@ from structiou.treebank import (
     ParseTree,
     leaves,
     parse_bracketed,
-    project_even,
     serialize_bracketed,
     validate,
 )
@@ -71,8 +70,7 @@ class TestEnumeratePlausible:
     def test_trees_valid_and_on_template(self):
         for n in (1, 2, 3, 4):
             for tree in enumerate_plausible(n):
-                timed = project_even(tree)
-                assert validate(timed) == []
+                assert validate(tree) == []
                 words = [l.word for l in leaves(tree.root)]
                 assert words == template_words(n)
 
@@ -135,7 +133,7 @@ def test_strip_single_word_phrases(attachment_pair):
     ("(S (X a) (Y b))", "(S (X a) (Y b))"),
 ])
 def test_strip_nested_unary_chains(text, expected):
-    stripped = strip_single_word_phrases(project_even(parse_bracketed(text)))
+    stripped = strip_single_word_phrases(parse_bracketed(text))
     assert serialize_bracketed(stripped) == expected
     assert validate(stripped) == []
     walked = ParseTree(stripped.root)  # arrays derived again from the view
@@ -152,8 +150,8 @@ class TestReport:
         # while at larger n it may score more by trading word pairs for
         # partial overlaps
         right, left = attachment_pair
-        a = strip_single_word_phrases(project_even(right))
-        b = strip_single_word_phrases(project_even(left))
+        a = strip_single_word_phrases(right)
+        b = strip_single_word_phrases(left)
         score = struct_iou_sentence(a, b, "unlabeled")
         assert score.objective == pytest.approx(7.0, abs=1e-9)
         assert score.value == pytest.approx(2 * 7 / 18, abs=1e-9)

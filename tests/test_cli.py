@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,28 @@ class TestEval:
         assert capsys.readouterr().err == (
             f"error: gold sentence 0: boundary table spans inf seconds, over {MAX_SPAN}\n"
         )
+
+    def test_blocks_far_apart_score_0_without_warning(self, corpus, tmp_path, capsys):
+        # each block spans under MAX_SPAN, but their IoU intersection is -inf
+        gold = tmp_path / "low.bounds"
+        gold.write_text("Your\t-1.7e308\t-1.6e308\nturn\t-1.6e308\t-1.5e308\n",
+                        encoding="utf-8")
+        pred = tmp_path / "high.bounds"
+        pred.write_text("Your\t1.5e308\t1.6e308\nturn\t1.6e308\t1.7e308\n",
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "eval",
+                "--gold", corpus["gold.trees"],
+                "--pred", corpus["gold.trees"],
+                "--gold-bounds", str(gold),
+                "--pred-bounds", str(pred),
+            ])
+        assert code == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[1] == "0\t3\t3\t0.0000\t0.0000"
+        assert out.err == ""
 
     def test_stdout_matches_out(self, corpus, tmp_path, capsys):
         argv = [

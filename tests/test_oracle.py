@@ -22,7 +22,6 @@ from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
     parse_bracketed,
-    project_even,
     project_to_time,
     validate,
 )
@@ -79,9 +78,7 @@ def test_structure_error_matches_solver(gold_timed, pred_structure_error):
 
 def test_attachment_pair(attachment_pair):
     right, left = attachment_pair
-    out = oracle_alignment(
-        project_even(right), project_even(left), "unlabeled"
-    )
+    out = oracle_alignment(right, left, "unlabeled")
     assert out.objective == pytest.approx(10.0, abs=1e-9)
 
 
@@ -125,7 +122,7 @@ class TestAlignmentProblems:
     def trees(self):
         """Two copies of one tree; postorder X0 Y1 A2 X3 Y4 B5 S6."""
         text = "(S (A (X a) (Y b)) (B (X c) (Y d)))"
-        return [project_even(parse_bracketed(text)) for _ in range(2)]
+        return [parse_bracketed(text) for _ in range(2)]
 
     @staticmethod
     def aligned(t1, t2, *pairs):

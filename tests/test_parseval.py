@@ -2,7 +2,12 @@ import pytest
 
 from structiou.errors import DataError
 from structiou.parseval import BracketSpan, bracket_spans, parseval_f1
-from structiou.treebank import parse_bracketed, project_even
+from structiou.treebank import (
+    BoundaryRow,
+    BoundaryTable,
+    parse_bracketed,
+    project_to_time,
+)
 
 
 def test_preterminals_excluded():
@@ -72,8 +77,14 @@ def test_symmetry_swaps_precision_recall(attachment_pair):
 
 def test_projection_invariance(attachment_pair):
     right, left = attachment_pair
+    times = [0.3, 0.45, 1.2, 1.25, 2.9, 4.0]  # uneven, none on a word index
+    table = BoundaryTable(tuple(
+        BoundaryRow(w, s, e) for w, s, e in zip(right.words, times, times[1:])
+    ))
+    timed_right, timed_left = (project_to_time(t, table) for t in (right, left))
+    assert timed_right.starts.tolist() != right.starts.tolist()
     before = parseval_f1(right, left, "unlabeled").f1
-    after = parseval_f1(project_even(right), project_even(left), "unlabeled").f1
+    after = parseval_f1(timed_right, timed_left, "unlabeled").f1
     assert before == after
 
 

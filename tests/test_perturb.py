@@ -105,7 +105,7 @@ class TestInsert:
         assert (kids[0].start, kids[0].end) == (0.0, 0.4)
         assert (kids[1].start, kids[1].end) == (0.4, 1.0)
         assert out_tree.node_count == tree.node_count + 1
-        assert len(out_table) == 2
+        assert len(out_table.rows) == 2
         assert validate(out_tree) == []
         # parent interval unchanged
         assert (out_tree.root.start, out_tree.root.end) == (0.0, 1.0)
@@ -130,7 +130,7 @@ class TestInsert:
         )
         t = table(("a", 0, 1), ("b", 1, 2), ("c", 2, 3), ("d", 3, 4))
         out_tree, out_table = perturb_insert(tree, t, 0.6, rng)
-        splits = len(out_table) - len(t)
+        splits = len(out_table.rows) - len(t.rows)
         assert out_tree.node_count == tree.node_count + splits
         assert validate(out_tree) == []
 
@@ -216,7 +216,7 @@ class TestDelete:
         out_tree, out_table = perturb_delete(
             tree, table(("a", 0, 1), ("b", 1, 2), ("c", 2, 3)), 1.0, Stub()
         )
-        assert len(out_table) == 1
+        assert len(out_table.rows) == 1
         assert out_table.rows[0].word == "abc"
         assert len(leaves(out_tree.root)) == 1
         assert validate(out_tree) == []

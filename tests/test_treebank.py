@@ -14,7 +14,6 @@ from structiou.treebank import (
     iter_nodes,
     leaves,
     parse_bracketed,
-    project_even,
     project_to_time,
     read_boundary_file,
     read_tree_file,
@@ -147,7 +146,7 @@ class TestBoundaryFile:
             "Your\t2.56\t2.72\nturn\t2.72\t3.01\n\nhi\t0\t1\n"
         )
         tables = read_boundary_file(src)
-        assert [len(t) for t in tables] == [2, 1]
+        assert [len(t.rows) for t in tables] == [2, 1]
         assert tables[0].rows[0].word == "Your"
         assert tables[0].is_gap_free()
 
@@ -190,6 +189,15 @@ class TestBoundaryFile:
 
     def test_overlap(self):
         src = io.StringIO("a\t0\t1.5\nb\t1.0\t2\n")
+        with pytest.raises(DataError) as info:
+            read_boundary_file(src)
+        assert str(info.value) == (
+            "overlapping rows 0 and 1 in block starting at line 1"
+        )
+
+    def test_first_fault_in_line_order(self):
+        # the overlap on lines 1-2 comes before line 3's bad field
+        src = io.StringIO("a\t0\t1.5\nb\t1.0\t2\nc\tx\t3\n")
         with pytest.raises(DataError) as info:
             read_boundary_file(src)
         assert str(info.value) == (
@@ -322,13 +330,12 @@ class TestProjection:
             n.label for n in iter_nodes(tree.root)
         ]
 
-    def test_project_even(self, attachment_pair):
+    def test_parse_gives_unit_spans(self, attachment_pair):
         right, _ = attachment_pair
-        out = project_even(right)
-        assert out.root.start == 0.0 and out.root.end == 5.0
-        two = project_even(parse_bracketed("(NP (A a) (B b))"))
+        assert right.root.start == 0.0 and right.root.end == 5.0
+        two = parse_bracketed("(NP (A a) (B b))")
         assert [(l.start, l.end) for l in leaves(two.root)] == [(0, 1), (1, 2)]
-        one = project_even(parse_bracketed("(X w)"))
+        one = parse_bracketed("(X w)")
         assert (one.root.start, one.root.end) == (0.0, 1.0)
 
 
