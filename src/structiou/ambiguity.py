@@ -107,7 +107,7 @@ def strip_single_word_phrases(tree: ParseTree) -> ParseTree:
     return ParseTree._of(
         tuple(label for label, k in zip(tree.labels, keep.tolist()) if k),
         index[first[keep]], (tree.depth - removed)[keep],
-        tree.starts[keep], tree.ends[keep], tree.words,
+        tree.starts[leaf], tree.ends[leaf], tree.words,
     )
 
 

@@ -134,9 +134,9 @@ def _mode(args) -> MatchMode:
 
 def _read(path: str, reader=iter) -> Iterator:
     """Yield what ``reader`` yields over the file (by default its lines),
-    naming the file in its errors."""
+    naming the file in its errors. A leading byte order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             yield from reader(f)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror}") from exc

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .treebank import BoundaryRow, BoundaryTable, ParseTree, _hulls, project_to_time
+from .treebank import BoundaryRow, BoundaryTable, ParseTree, project_to_time
 
 __all__ = [
     "PerturbSpec",
@@ -232,11 +232,9 @@ def _regrouped(
             new_first.append(mark[f])
             new_depth.append(d)
 
-    first_array = np.array(new_first, dtype=np.int64)
-    starts = np.array([row.start for row in rows], dtype=float)
-    ends = np.array([row.end for row in rows], dtype=float)
-    spans = _hulls(first_array, starts, ends)
-    tree = ParseTree._of(tuple(labels), first_array, new_depth, *spans, tuple(words))
+    starts = [row.start for row in rows]
+    ends = [row.end for row in rows]
+    tree = ParseTree._of(tuple(labels), new_first, new_depth, starts, ends, tuple(words))
     return tree, BoundaryTable(tuple(rows))
 
 

@@ -17,10 +17,13 @@ them, so each node is the same object on every access. A leaf
 (preterminal in parsing terms) carries its word as a payload; the
 payload is not a node. Node equality is identity, so the same shape
 built twice gives distinct nodes, which is what alignment and
-validation need. A tree can also be built from a root node; one
-postorder walk then derives its arrays, and that root is its view.
-Nothing in this package builds trees that way: the generators write
-bracketed text and parse it, and the perturbations build arrays.
+validation need. Node spans are derived from the leaves' rows in one
+place, ``ParseTree._of``, which parsing, projection and the
+perturbations build through. A tree can also be built from a root node:
+one postorder walk derives its arrays, keeping every span as given, and
+that root is its view. Nothing in this package builds trees that way;
+it is the only way to build a tree that breaks the hull rule, which
+``validate`` reports.
 """
 
 from __future__ import annotations
@@ -126,9 +129,15 @@ class ParseTree:
 
     @classmethod
     def _of(cls, labels, first, depth, starts, ends, words) -> "ParseTree":
-        """A tree straight from its arrays; its view is built when asked for."""
+        """A tree from its shape and its leaves' rows; the view is built
+        when asked for. Each node spans from its first leaf's row start to
+        its last leaf's row end. ``rows[i]`` is the row of the last leaf
+        among nodes 0..i, which is node i's last leaf."""
+        first = _frozen(first, np.int64)
+        rows = np.cumsum(first == np.arange(first.size)) - 1
+        starts, ends = np.asarray(starts, float), np.asarray(ends, float)
         tree = cls.__new__(cls)
-        tree._set(labels, first, depth, starts, ends, words)
+        tree._set(labels, first, depth, starts[rows[first]], ends[rows], words)
         tree._nodes = None
         return tree
 
@@ -275,10 +284,8 @@ def parse_bracketed(text: str) -> ParseTree:
             i += 1
         if i == end:
             raise _syntax_error(text, "unbalanced parentheses", opened)
-    first_array = _frozen(first, np.int64)
     starts = np.arange(len(words), dtype=float)
-    spans = _hulls(first_array, starts, starts + 1.0)
-    return ParseTree._of(tuple(labels), first_array, depth, *spans, tuple(words))
+    return ParseTree._of(tuple(labels), first, depth, starts, starts + 1.0, tuple(words))
 
 
 def _syntax_error(text: str, message: str, token: int) -> TreeSyntaxError:
@@ -454,20 +461,7 @@ def project_to_time(tree: ParseTree, table: BoundaryTable) -> ParseTree:
 
 def _respanned(tree: ParseTree, starts: np.ndarray, ends: np.ndarray) -> ParseTree:
     """The tree over new leaf rows: same shape, labels and words."""
-    spans = _hulls(tree.first, starts, ends)
-    return ParseTree._of(tree.labels, tree.first, tree.depth, *spans, tree.words)
-
-
-def _hulls(
-    first: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's start and end: its first leaf's row start, last leaf's end.
-
-    ``rows[i]`` is the row of the last leaf among nodes 0..i, which is
-    node i's last leaf; its first leaf is node ``first[i]``.
-    """
-    rows = np.cumsum(first == np.arange(first.size)) - 1
-    return starts[rows[first]], ends[rows]
+    return ParseTree._of(tree.labels, tree.first, tree.depth, starts, ends, tree.words)
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +470,20 @@ def _hulls(
 def validate(tree: ParseTree) -> list[str]:
     """Return a list of invariant violations; empty means the tree is valid.
 
-    Checks, per node: a positive interval, a word payload exactly on
-    leaves, consecutive children ordered by start and disjoint, and an
-    internal interval equal to its children's hull. Together these imply
-    that two nodes overlap in time iff one is an ancestor of the other.
-    A node lies inside each of its ancestors, since each interval is its
-    children's hull. Two unrelated nodes lie inside two distinct children
-    of their lowest common ancestor, and those children are disjoint,
-    since consecutive ones are and every interval has positive length.
-    So no check runs over node pairs. The ordering check is implied too
-    (a disjoint pair of positive intervals is ordered), but it names
-    swapped children.
+    Trees parsed, projected or perturbed are valid by construction, since
+    their node spans are derived from their leaf rows; only a tree built
+    from a root node, ``ParseTree(root)``, keeps spans that can break
+    these rules. Checks, per node: a positive interval, a word payload
+    exactly on leaves, consecutive children ordered by start and
+    disjoint, and an internal interval equal to its children's hull.
+    Together these imply that two nodes overlap in time iff one is an
+    ancestor of the other. A node lies inside each of its ancestors,
+    since each interval is its children's hull. Two unrelated nodes lie
+    inside two distinct children of their lowest common ancestor, and
+    those children are disjoint, since consecutive ones are and every
+    interval has positive length. So no check runs over node pairs. The
+    ordering check is implied too (a disjoint pair of positive intervals
+    is ordered), but it names swapped children.
     """
     problems: list[str] = []
     for n in tree.nodes:

@@ -18,7 +18,7 @@ from structiou.ambiguity import (
     strip_single_word_phrases,
     template_words,
 )
-from structiou.intervals import OpenInterval, iou
+from structiou.intervals import iou
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import oracle_alignment, random_timed_tree
 from structiou.perturb import PerturbSpec, apply_perturbation, sentence_rng
@@ -27,13 +27,13 @@ from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
     ParseTree,
-    TreeNode,
     iter_nodes,
     leaves,
     parse_bracketed,
     project_to_time,
     validate,
 )
+from trees import timed
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -293,10 +293,8 @@ def test_criterion_6_single_node_is_plain_interval_iou():
         pts = np.sort(rng.uniform(0, 10, size=4))
         pts[1:] = np.maximum(pts[1:], pts[:-1] + 1e-4)
         which = rng.integers(0, 2)
-        a = ParseTree(TreeNode("X", OpenInterval(pts[0], pts[2]), word="a"))
-        b = ParseTree(
-            TreeNode("X", OpenInterval(pts[1], pts[3 if which else 2]), word="b")
-        )
+        a = timed("(X a)", pts[[0, 2]])
+        b = timed("(X b)", pts[[1, 3 if which else 2]])
         expected = iou(a.root.interval, b.root.interval)
         got = struct_iou_sentence(a, b, "labeled").value
         if got != expected:

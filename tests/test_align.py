@@ -6,7 +6,7 @@ import pytest
 
 from structiou.align import Alignment, MatchMode, PairSolver, max_weight_alignment
 from structiou.ambiguity import random_binary_tree
-from structiou.intervals import OpenInterval, iou
+from structiou.intervals import iou
 from structiou.oracle import alignment_problems, random_timed_tree
 from structiou.treebank import (
     BoundaryRow,
@@ -17,6 +17,7 @@ from structiou.treebank import (
     parse_bracketed,
     project_to_time,
 )
+from trees import timed
 
 
 def by_label(tree):
@@ -27,18 +28,8 @@ def by_label(tree):
 def conflict_trees():
     """Five-node tree vs three-node tree over a shared word span."""
     t1 = parse_bracketed("(A (B x) (C (D y) (E z)))")
-    t2 = parse_bracketed("(F (G w) (H v))")
-    # place the 2-word tree over the same 3-word range
-    def rescale(node, factor):
-        kids = tuple(rescale(c, factor) for c in node.children)
-        return TreeNode(
-            node.label,
-            OpenInterval(node.start * factor, node.end * factor),
-            children=kids,
-            word=node.word,
-        )
-
-    t2 = ParseTree(rescale(t2.root, 1.5))
+    # the 2-word tree over the same 3-word range
+    t2 = timed("(F (G w) (H v))", [0.0, 1.5, 3.0])
     return t1, t2
 
 
@@ -104,9 +95,9 @@ class TestMaxWeightAlignment:
             solver.subtree_objective(pred_vp + 1, gold_np)
 
     def test_subtree_objective_leaves(self):
-        same = ParseTree(TreeNode("X", OpenInterval(0, 1), word="a"))
-        twin = ParseTree(TreeNode("X", OpenInterval(0, 1), word="b"))
-        apart = ParseTree(TreeNode("X", OpenInterval(4, 5), word="c"))
+        same = timed("(X a)", [0, 1])
+        twin = timed("(X b)", [0, 1])
+        apart = timed("(X c)", [4, 5])
         assert PairSolver(same, twin, "labeled").subtree_objective(0, 0) == 1.0
         assert PairSolver(same, apart, "labeled").subtree_objective(0, 0) == 0.0
 
@@ -137,9 +128,9 @@ class TestMaxWeightAlignment:
                 assert solver.subtree_objective(i, j) == expected
 
     def test_leaf_pairs(self):
-        a = ParseTree(TreeNode("X", OpenInterval(0, 1), word="w"))
-        b = ParseTree(TreeNode("X", OpenInterval(0, 1), word="w"))
-        c = ParseTree(TreeNode("X", OpenInterval(2, 3), word="w"))
+        a = timed("(X w)", [0, 1])
+        b = timed("(X w)", [0, 1])
+        c = timed("(X w)", [2, 3])
         assert max_weight_alignment(a, b, "labeled").objective == 1.0
         assert max_weight_alignment(a, c, "labeled").objective == 0.0
 

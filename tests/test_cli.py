@@ -196,6 +196,25 @@ class TestEval:
         assert main(argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
+    def test_byte_order_mark_is_skipped(self, corpus, tmp_path, capsys):
+        def argv(files):
+            return [
+                "eval",
+                "--gold", files["gold.trees"],
+                "--pred", files["pred.trees"],
+                "--gold-bounds", files["gold.bounds"],
+                "--pred-bounds", files["pred.bounds"],
+            ]
+
+        assert main(argv(corpus)) == 0
+        plain = capsys.readouterr().out
+        marked = {}
+        for name, path in corpus.items():
+            marked[name] = str(tmp_path / f"bom-{name}")
+            Path(marked[name]).write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        assert main(argv(marked)) == 0
+        assert capsys.readouterr().out == plain
+
     def test_fewer_boundary_blocks_exit2(self, corpus, tmp_path, capsys):
         gold = tmp_path / "two.trees"
         gold.write_text(GOLD_TREE + GOLD_TREE, encoding="utf-8")
@@ -456,6 +475,22 @@ class TestPerturb:
         assert (out_dir / "rep0.bounds").read_text() == GOLD_BOUNDS
         summary = (out_dir / "summary.tsv").read_text().splitlines()
         assert summary[1].split("\t")[3] == "1.0000"
+
+    def test_byte_order_mark_is_not_written_back(self, corpus, tmp_path):
+        # read as part of the first word, it would be written out with it
+        marked = tmp_path / "bom-gold.bounds"
+        marked.write_bytes(b"\xef\xbb\xbf" + GOLD_BOUNDS.encode("utf-8"))
+        out_dir = tmp_path / "p0"
+        code = main([
+            "perturb",
+            "--gold", corpus["gold.trees"],
+            "--gold-bounds", str(marked),
+            "--mode", "noise", "--delta", "0", "--reps", "1",
+            "--seed", "1", "--out", str(out_dir),
+        ])
+        assert code == 0
+        assert (out_dir / "rep0.trees").read_bytes() == GOLD_TREE.encode("utf-8")
+        assert (out_dir / "rep0.bounds").read_bytes() == GOLD_BOUNDS.encode("utf-8")
 
     def test_noise_degrades_more_with_delta(self, tmp_path):
         trees = "".join("(S (A a) (B b) (C c))\n" for _ in range(12))

@@ -5,7 +5,7 @@ from structiou.errors import DataError
 from structiou.intervals import OpenInterval, iou
 from structiou.metric import struct_iou_corpus, struct_iou_sentence
 from structiou.oracle import random_timed_tree
-from structiou.treebank import ParseTree, TreeNode
+from trees import retimed, timed
 
 
 def test_structure_error_calibration(gold_timed, pred_structure_error):
@@ -39,8 +39,8 @@ def test_literal_normalization(gold_timed):
 
 
 def test_single_node_degenerates_to_interval_iou():
-    a = ParseTree(TreeNode("X", OpenInterval(0.0, 2.0), word="w"))
-    b = ParseTree(TreeNode("X", OpenInterval(1.0, 3.0), word="w"))
+    a = timed("(X w)", [0.0, 2.0])
+    b = timed("(X w)", [1.0, 3.0])
     score = struct_iou_sentence(a, b, "labeled")
     assert score.value == iou(a.root.interval, b.root.interval)
 
@@ -57,19 +57,6 @@ def test_symmetry():
 
 def test_shift_and_scale_invariance():
     rng = np.random.default_rng(9)
-
-    def transform(tree, mul, add):
-        def rebuild(node):
-            kids = tuple(rebuild(c) for c in node.children)
-            return TreeNode(
-                node.label,
-                OpenInterval(node.start * mul + add, node.end * mul + add),
-                children=kids,
-                word=node.word,
-            )
-
-        return ParseTree(rebuild(tree.root))
-
     for _ in range(20):
         t1 = random_timed_tree(rng, 9)
         t2 = random_timed_tree(rng, 9)
@@ -77,7 +64,7 @@ def test_shift_and_scale_invariance():
         mul = float(rng.uniform(0.1, 5.0))
         add = float(rng.uniform(-20, 20))
         moved = struct_iou_sentence(
-            transform(t1, mul, add), transform(t2, mul, add), "unlabeled"
+            retimed(t1, add, mul), retimed(t2, add, mul), "unlabeled"
         ).value
         assert moved == pytest.approx(base, abs=1e-9)
 
@@ -89,19 +76,10 @@ class TestCorpus:
         assert corpus.sentence_mean == pytest.approx(0.75)
 
     def test_weighted_mean(self):
-        small_a = ParseTree(
-            TreeNode(
-                "A",
-                OpenInterval(0, 2),
-                children=(
-                    TreeNode("B", OpenInterval(0, 1), word="x"),
-                    TreeNode("C", OpenInterval(1, 2), word="y"),
-                ),
-            )
-        )
+        small_a = timed("(A (B x) (C y))", [0, 1, 2])
         # value 1.0 with weight 3+3; disjoint leaves give 0 objective
-        zero_a = ParseTree(TreeNode("Z", OpenInterval(0, 1), word="x"))
-        zero_b = ParseTree(TreeNode("Z", OpenInterval(5, 6), word="x"))
+        zero_a = timed("(Z x)", [0, 1])
+        zero_b = timed("(Z x)", [5, 6])
         corpus = struct_iou_corpus(
             [(small_a, small_a), (zero_a, zero_b)], "labeled"
         )

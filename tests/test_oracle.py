@@ -25,6 +25,7 @@ from structiou.treebank import (
     project_to_time,
     validate,
 )
+from trees import mirrored, timed
 
 # sha256 of 20 trees drawn from each of seeds 0, 1 and 2 (see the
 # ``tree_digest`` fixture), keyed by (max_nodes, allow_gaps). Recorded
@@ -209,8 +210,7 @@ def test_crossing_pairs_cannot_both_overlap():
 
 # Large pairs, where the solver's mirroring, one-segment tables and
 # top-table recovery act: the objective against the edit-distance
-# reference, and the recovered pairs against the feasibility rules. The
-# scalar reference never mirrors, so right chains stay short.
+# reference, and the recovered pairs against the feasibility rules.
 
 
 def rows(tree):
@@ -235,11 +235,17 @@ def chain(words, right):
     while leaves:
         pair = (leaves.pop(), text) if right else (text, leaves.pop(0))
         text = f"({next(labels)} {pair[0]} {pair[1]})"
-    cuts = np.cumsum(rng.uniform(0.1, 1.0, words + 1)).tolist()
-    table = BoundaryTable(tuple(
-        BoundaryRow(f"w{k}", cuts[k], cuts[k + 1]) for k in range(words)
-    ))
-    return project_to_time(parse_bracketed(text), table)
+    return timed(text, np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
+
+
+def zigzag(words):
+    """A chain whose spine child switches sides at each level, over random
+    word times. Its labels are X."""
+    text = "(X w0)"
+    for k in range(1, words):
+        text = f"(X {text} (X w{k}))" if k % 2 else f"(X (X w{k}) {text})"
+    rng = np.random.default_rng(0)
+    return timed(text, np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
 
 
 def jittered(tree):
@@ -259,25 +265,41 @@ def binary_over(tree):
     return project_to_time(binary(len(tree.words)), rows(tree))
 
 
-# name: (a tree, the counterpart it is scored against)
+def mirrored_ted(t1, t2, mode):
+    """``ted_objective`` on both trees mirrored. Its fixed left-to-right
+    numbering is the costly one for right chains, and mirroring turns
+    them into left chains."""
+    return ted_objective(mirrored(t1), mirrored(t2), mode)
+
+
+# name: (a tree, the counterpart it is scored against, the reference)
 LARGE_PAIRS = {
-    "binary-100-jittered": (lambda: binary(100), jittered),
-    "binary-50-inserted": (lambda: binary(50), inserted),
-    "binary-50-deleted": (lambda: binary(50), deleted),
-    "left-chain-100-jittered": (lambda: chain(100, right=False), jittered),
-    "left-chain-100-binary-100": (lambda: chain(100, right=False), binary_over),
-    "right-chain-25-jittered": (lambda: chain(25, right=True), jittered),
+    "binary-100-jittered": (lambda: binary(100), jittered, ted_objective),
+    "binary-50-inserted": (lambda: binary(50), inserted, ted_objective),
+    "binary-50-deleted": (lambda: binary(50), deleted, ted_objective),
+    "left-chain-100-jittered": (lambda: chain(100, right=False), jittered, ted_objective),
+    "left-chain-100-binary-100": (
+        lambda: chain(100, right=False), binary_over, ted_objective),
+    "right-chain-25-jittered": (lambda: chain(25, right=True), jittered, ted_objective),
+    "right-chain-100-jittered": (lambda: chain(100, right=True), jittered, mirrored_ted),
+    "right-chain-100-inserted": (lambda: chain(100, right=True), inserted, mirrored_ted),
+    "right-chain-100-deleted": (lambda: chain(100, right=True), deleted, mirrored_ted),
+    "right-chain-200-jittered": (lambda: chain(200, right=True), jittered, mirrored_ted),
+    "right-chain-200-inserted": (lambda: chain(200, right=True), inserted, mirrored_ted),
+    "right-chain-200-deleted": (lambda: chain(200, right=True), deleted, mirrored_ted),
+    "zigzag-20-jittered": (lambda: zigzag(20), jittered, ted_objective),
+    "zigzag-40-jittered": (lambda: zigzag(40), jittered, ted_objective),
 }
 
 
 @pytest.mark.parametrize("mode", ["labeled", "unlabeled"])
 @pytest.mark.parametrize("kind", list(LARGE_PAIRS))
 def test_large_pair_objective_equals_ted(kind, mode):
-    tree, counterpart = LARGE_PAIRS[kind]
+    tree, counterpart, reference = LARGE_PAIRS[kind]
     t1 = tree()
     t2 = counterpart(t1)
     assert validate(t1) == [] and validate(t2) == []
-    expected = ted_objective(t1, t2, mode)
+    expected = reference(t1, t2, mode)
     out = max_weight_alignment(t1, t2, mode)
     assert out.objective == pytest.approx(expected, abs=1e-9)
     assert alignment_problems(t1, t2, out, mode) == []

@@ -21,6 +21,7 @@ from structiou.treebank import (
     serialize_bracketed,
     validate,
 )
+from trees import mirrored, retimed, timed
 
 MAX_NODES = 20
 
@@ -37,42 +38,18 @@ def score(t1: ParseTree, t2: ParseTree, mode: str) -> float:
     return struct_iou_sentence(t1, t2, mode).value
 
 
-def retimed(t: ParseTree, shift: float, scale: float) -> ParseTree:
-    def rebuild(node: TreeNode) -> TreeNode:
-        span = OpenInterval(node.start * scale + shift, node.end * scale + shift)
-        kids = tuple(rebuild(c) for c in node.children)
-        return TreeNode(node.label, span, children=kids, word=node.word)
-
-    return ParseTree(rebuild(t.root))
-
-
-def mirrored(t: ParseTree) -> ParseTree:
-    """Children reversed and time reflected: (s, e) becomes (-e, -s)."""
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        span = OpenInterval(-node.end, -node.start)
-        kids = tuple(rebuild(c) for c in reversed(node.children))
-        return TreeNode(node.label, span, children=kids, word=node.word)
-
-    return ParseTree(rebuild(t.root))
-
-
 def chain(words: int, right: bool, seed: int) -> ParseTree:
     """A chain whose internal nodes each have one leaf child, on the left
     (right-branching) or on the right, over random word times and labels."""
     rng = np.random.default_rng(seed)
     cuts = np.cumsum(rng.uniform(0.1, 1.0, words + 1)).tolist()
     labels = rng.choice(["A", "B"], 2 * words).tolist()
-    kids = [
-        TreeNode(labels[k], OpenInterval(cuts[k], cuts[k + 1]), word=f"w{k}")
-        for k in range(words)
-    ]
-    node = kids.pop() if right else kids.pop(0)
+    kids = [f"({labels[k]} w{k})" for k in range(words)]
+    text = kids.pop() if right else kids.pop(0)
     while kids:
-        pair = (kids.pop(), node) if right else (node, kids.pop(0))
-        span = OpenInterval(pair[0].start, pair[1].end)
-        node = TreeNode(labels[words + len(kids)], span, children=pair)
-    return ParseTree(node)
+        pair = (kids.pop(), text) if right else (text, kids.pop(0))
+        text = f"({labels[words + len(kids)]} {pair[0]} {pair[1]})"
+    return timed(text, cuts)
 
 
 chains = st.builds(chain, st.integers(1, 14), st.booleans(), seeds)

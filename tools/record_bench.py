@@ -10,11 +10,15 @@ For every checkout it runs ``python3 bench/run.py --seed 0 --trace 0``
 ``run_seconds``; then ``--trace 1`` once per workload, keeping every
 per-layer metric of that run's result file (``bench/out/``), with each
 layer time also per scored pair (``us_per_pair``, over ``align.solves``);
-and a single-pair sweep: a ``random_binary_tree`` and a
-right-branching chain at 25, 50, 100 and 200 words, each against a
-boundary-jittered copy of itself, recording the median wall time of
-``max_weight_alignment`` over up to 5 solves (fewer once they took 10 s)
-and the ``tracemalloc`` peak of one more.
+and a single-pair sweep: a ``random_binary_tree``, a right-branching
+chain and a zig-zag (a chain whose spine child switches sides at each
+level, the solver's worst case) at 25, 50, 100 and 200 words, each
+against a boundary-jittered copy of itself, recording the median wall
+time of ``max_weight_alignment`` over up to 5 solves (fewer once they
+took 10 s, so 2 for a 200-word zig-zag) and the ``tracemalloc`` peak of
+one more. One sweep point runs on its own with
+``python3 tools/record_bench.py --pair SRC SHAPE WORDS``, which prints
+its JSON.
 Each measurement runs in a fresh process that imports structiou from that
 checkout's ``src/``. Checkouts take turns on every measurement, and the
 order flips each round, because the host's CPU speed drifts by tens of
@@ -37,7 +41,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = ("binary", "chain")
+SHAPES = ("binary", "chain", "zigzag")
 WORDS = (25, 50, 100, 200)
 JITTER = 0.3
 ROUNDS = 10  # bench/run.py runs per workload and checkout
@@ -62,13 +66,16 @@ def measure_pair(src: str, shape: str, words: int) -> dict:
 
     if Path(structiou.__file__).resolve().parent != Path(src).resolve() / "structiou":
         raise SystemExit(f"structiou imported from {structiou.__file__}, not {src}")
+    if shape not in SHAPES:
+        raise SystemExit(f"unknown shape {shape!r}, not one of {', '.join(SHAPES)}")
     rng = np.random.default_rng(words)
     if shape == "binary":
         tree = random_binary_tree(words, rng)
     else:
         text = "(X w)"
-        for _ in range(words - 1):
-            text = f"(X (X w) {text})"
+        for k in range(1, words):
+            zag = shape == "zigzag" and k % 2
+            text = f"(X {text} (X w))" if zag else f"(X (X w) {text})"
         tree = parse_bracketed(text)
     # parse_bracketed puts word k at (k, k + 1)
     table = BoundaryTable(tuple(
