@@ -12,10 +12,16 @@ it to pair, so it gets no table and no segment. Each pair numbers
 children left to right or right to left, whichever gives the smaller
 product of ``sum(k - first[k])`` over the two trees' keyroots (RTED,
 Pawlik & Augsten 2011). Cost: that many rows times
-``sum(k - first[k] + 1)`` columns over the keyroots of more than one node.
-Recovering the pairs reads the last table, the virtual root's, which
-holds every segment, and fills again, one segment each, only the tables
-of lower first-tree paths that matched pairs reach.
+``sum(k - first[k] + 1)`` columns, W, over the keyroots of more than one
+node. A solve holds F, one buffer of the table rows still to be read,
+and the last segment of the virtual root's table, which is the second
+tree's virtual root's and F's size (a one-segment table is kept whole).
+A row is read past the next row only if the node it adds next starts a
+lower path, and then until that path's keyroot, so those rows nest. With
+s the most paths of more than one node around one node, the buffer has
+s + 1 rows of W and the peak is about 2 F + (s + 1) W doubles. Recovery
+reads the kept segment for the virtual roots' pairs and fills every
+other table that matched pairs reach again, one segment each.
 """
 
 from __future__ import annotations
@@ -119,14 +125,32 @@ class PairSolver:
             F[:-1, :-1][ids1[:, None] != ids2] = NEG
         top2 = self.paths2
         cols = self._columns(sorted(k for f, k in top2.items() if f < k))
-        self.offsets = off = cols[3]
+        off = cols[3]
         # each second-tree node's column: its descendants' prefix, or for
         # a one-node keyroot, which has no segment, column 0
         into = np.arange(d2.n) + [off.get(top2[f], 0) - f for f in d2.first[:-1].tolist()]
-        for k in sorted(k for f, k in self.paths1.items() if f < k):
-            self.top = None  # free the last table before filling the next
-            self.top = self._table(k, cols, into)
-        # the virtual root's table is last, and its segment last in it
+        # slot[x]: the buffer row of a table row that adds node x next.
+        # If x starts a lower path, that row is read until the path's
+        # keyroot; such rows nest, so it takes 1 + the paths open around
+        # x. Other rows share row 1: the next row reads it before writing.
+        slot, around = [1] * (d1.n + 1), []
+        for f, k in self.paths1.items():  # in increasing f
+            if f < k:
+                while around and around[-1] < f:
+                    around.pop()
+                around.append(k)
+                slot[f] = len(around)
+        buf = list(np.zeros((max(slot) + 1, cols[0].size)))
+        keyroots = sorted(k for f, k in self.paths1.items() if f < k)
+        for k in keyroots[:-1]:
+            self._table(k, cols, into, buf, slot)
+        # The virtual root's table is last. Keep its last segment, the
+        # second tree's virtual root's: the whole table if it is the only one.
+        if cols[2] is None:
+            self.top = self._table(d1.n, cols, into)
+        else:
+            self.top = np.zeros((d1.n + 1, d2.n + 1))
+            self._table(d1.n, cols, into, buf, slot, self.top)
         self.objective = float(self.top[-1, -1])
 
     def _columns(self, keyroots: list[int]):
@@ -149,35 +173,44 @@ class PairSolver:
         z = seg + 0j if ks.size > 1 else None
         return w, pred, z, dict(zip(keyroots, off.tolist()))
 
-    def _table(self, k: int, cols, into: np.ndarray | None = None) -> np.ndarray:
+    def _table(self, k: int, cols, into=None, buf=None, slot=None, top=None):
         """``G[i, c]``: best F total over ordered disjoint pairings among
         keyroot k's first i descendants and column c's segment up to c.
 
         Complex numbers order by real part first, so the running maximum
         restarts per segment; one segment needs no restart. Given
         ``into``, each node's column, rows also complete F for the nodes
-        on k's path, k last.
+        on k's path, k last. Without ``buf`` the table is whole and
+        returned. Given ``buf``, the shared buffer's rows, row i is
+        ``buf[slot[first[k] + i]]`` (row 0 ``buf[0]``, all 0.0), and
+        ``top`` gets a copy of each row's last columns.
         """
         first, F = self.d1.first.tolist(), self.F
         lo = first[k]
         w, pred, z, _ = cols
-        G = np.empty((k - lo + 1, w.size))
-        G[0] = 0.0
+        if buf is None:
+            G = np.empty((k - lo + 1, w.size))
+            G[0] = 0.0
+            rows = list(G)
+        else:
+            G, rows = None, [buf[0], *(buf[s] for s in slot[lo + 1 : k + 1])]
         for i in range(1, k - lo + 1):
-            u = lo + i - 1
+            u, prev, row = lo + i - 1, rows[i - 1], rows[i]
             if into is not None and first[u] == lo:
-                F[u, :-1] += G[i - 1].take(into)
+                F[u, :-1] += prev.take(into)
             cand = F[u].take(w)
-            cand += G[first[u] - lo].take(pred)
-            np.maximum(cand, G[i - 1], out=cand)
+            cand += rows[first[u] - lo].take(pred)
+            np.maximum(cand, prev, out=cand)
             if z is None:
-                np.maximum.accumulate(cand, out=G[i])
+                np.maximum.accumulate(cand, out=row)
             else:
                 z.imag = cand
                 np.maximum.accumulate(z, out=z)
-                G[i] = z.imag
+                row[:] = z.imag
+            if top is not None:
+                top[i] = row[-top.shape[1] :]
         if into is not None:
-            F[k, :-1] += G[-1].take(into)
+            F[k, :-1] += rows[-1].take(into)
         return G
 
     # -- public queries -----------------------------------------------
@@ -210,9 +243,8 @@ class PairSolver:
                 continue  # a leaf on either side has nothing below to match
             key = k1, k2 = top1[first1[p]], top2[first2[q]]
             if key not in tables:
-                if k1 == d1.n:  # the top table holds every segment
-                    c = self.offsets[k2]
-                    tables[key] = self.top[:, c : c + k2 - first2[k2] + 1]
+                if key == (d1.n, d2.n):
+                    tables[key] = self.top
                 else:
                     tables[key] = self._table(k1, self._columns([k2]))
             G = tables[key]

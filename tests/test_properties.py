@@ -8,7 +8,14 @@ from structiou.align import PairSolver, max_weight_alignment
 from structiou.intervals import OpenInterval
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import alignment_problems, random_timed_tree, ted_objective
-from structiou.perturb import perturb_delete, perturb_insert, sentence_rng
+from structiou.perturb import (
+    MODES,
+    PerturbSpec,
+    apply_perturbation,
+    perturb_delete,
+    perturb_insert,
+    sentence_rng,
+)
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
@@ -67,8 +74,21 @@ def mixed_pairs(draw, trees):
     return (one, other) if draw(st.booleans()) else (other, one)
 
 
-# half the examples are mixed pairs, so twice as many keep the rest
-examples_mixed = settings(max_examples=120, deadline=None, database=None)
+@st.composite
+def perturbed_pairs(draw, max_nodes):
+    """A gap-free tree against its own insert, delete or noise
+    perturbation, as ``corpus_eval`` scores them, in either order. Each
+    mode moves where the lower paths start and how they nest."""
+    t = random_timed_tree(np.random.default_rng(draw(seeds)), max_nodes, allow_gaps=False)
+    leaf = t.first == np.arange(t.node_count)
+    table = BoundaryTable(tuple(map(BoundaryRow, t.words, t.starts[leaf], t.ends[leaf])))
+    spec = PerturbSpec(draw(st.sampled_from(MODES)), draw(st.floats(0.0, 1.0)), draw(seeds))
+    other, _ = apply_perturbation(t, table, spec, sentence_rng(spec.seed))
+    return (t, other) if draw(st.booleans()) else (other, t)
+
+
+# a third of the examples each: independent, mixed and perturbed pairs
+examples_mixed = settings(max_examples=180, deadline=None, database=None)
 
 
 @examples
@@ -109,7 +129,9 @@ small_pairs = st.tuples(seeds.map(tree), seeds.map(tree))
 
 
 @examples_mixed
-@given(st.one_of(small_pairs, mixed_pairs(seeds.map(tree))), modes)
+@given(
+    st.one_of(small_pairs, mixed_pairs(seeds.map(tree)), perturbed_pairs(MAX_NODES)), modes
+)
 def test_alignment_feasible_and_sums_to_objective(pair, mode):
     t1, t2 = pair
     out = max_weight_alignment(t1, t2, mode)
@@ -130,7 +152,12 @@ big_trees = st.one_of(big_random, chains)
 
 
 @examples_mixed
-@given(st.one_of(st.tuples(big_trees, big_trees), mixed_pairs(big_random)), modes)
+@given(
+    st.one_of(
+        st.tuples(big_trees, big_trees), mixed_pairs(big_random), perturbed_pairs(40)
+    ),
+    modes,
+)
 def test_objective_equals_ted(pair, mode):
     t1, t2 = pair
     expected = ted_objective(t1, t2, mode)
