@@ -308,8 +308,8 @@ def test_peak_memory_about_twice_F():
 def test_peak_memory_balanced_below_three_F(seed, words):
     """A solve holds F, one buffer of the table rows still to be read and
     the virtual root's last segment, the size of F; recovery fills lower
-    tables one segment at a time. A table of every segment, kept whole,
-    put the peak at 5.2-6.4x F on these pairs; now it is about 2.5x."""
+    tables one segment at a time. That peaks near 2.5x F on these pairs;
+    keeping the virtual root's table of every segment would take 5-6.5x."""
     rng = np.random.default_rng(seed)
     t1, t2 = (_timed(random_binary_tree(words, rng), rng) for _ in range(2))
     t1.nodes, t2.nodes  # recovery's node view is not the solver's memory
