@@ -20,13 +20,14 @@ A row is read past the next row only if the node it adds next starts a
 lower path, and then until that path's keyroot, so those rows nest. With
 s the most paths of more than one node around one node, the buffer has
 s + 1 rows of W and the peak is about 2 F + (s + 1) W doubles. Recovery
-reads the kept segment for the virtual roots' pairs and fills every
-other table that matched pairs reach again, one segment each.
+takes matched pairs largest key first and holds one refilled table, one
+segment, at a time: its peak is F + the kept segment + that one table.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,24 +231,21 @@ class PairSolver:
         return float("-inf") if value <= NEG / 2 else float(value)
 
     def alignment(self) -> Alignment:
+        """The pairs realizing the objective, in the first tree's
+        left-to-right postorder. Each call fills its tables again."""
         d1, d2 = self.d1, self.d2
         first1, first2 = d1.first.tolist(), d2.first.tolist()
         top1, top2 = self.paths1, self.paths2
-        tables, pairs = {}, []
-        todo = [(d1.n, d2.n)]  # the virtual roots: matched, not reported
+        # A pair found below (p, q) has keyroots no greater than p's and
+        # q's, both equal only on p's and q's paths. So keys leave the heap
+        # largest first: each table is filled at most once, and none is
+        # read again once its key has passed.
+        todo = [(-d1.n, -d2.n, d1.n, d2.n)]  # the virtual roots: matched, not reported
+        key, G, pairs = todo[0][:2], self.top, []
         while todo:
-            p, q = todo.pop()
-            if p < d1.n:
-                pairs.append((p, q))
-            if first1[p] == p or first2[q] == q:
-                continue  # a leaf on either side has nothing below to match
-            key = k1, k2 = top1[first1[p]], top2[first2[q]]
-            if key not in tables:
-                if key == (d1.n, d2.n):
-                    tables[key] = self.top
-                else:
-                    tables[key] = self._table(k1, self._columns([k2]))
-            G = tables[key]
+            k1, k2, p, q = heapq.heappop(todo)
+            if (k1, k2) != key:
+                key, G = (k1, k2), self._table(-k1, self._columns([-k2]))
             i, j = p - first1[p], q - first2[q]
             while i > 0 and j > 0:
                 v = G[i, j]
@@ -257,7 +255,9 @@ class PairSolver:
                     j -= 1
                 else:
                     u, w = first1[p] + i - 1, first2[q] + j - 1
-                    todo.append((u, w))
+                    pairs.append((u, w))
+                    if first1[u] < u and first2[w] < w:  # both have descendants
+                        heapq.heappush(todo, (-top1[first1[u]], -top2[first2[w]], u, w))
                     i, j = first1[u] - first1[p], first2[w] - first2[q]
         rank1, rank2 = d1.rank.tolist(), d2.rank.tolist()
         nodes1, nodes2 = d1.tree.nodes, d2.tree.nodes

@@ -26,14 +26,13 @@ from structiou.stats import GroupRecord, group_sample, spearman
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
-    ParseTree,
     iter_nodes,
     leaves,
     parse_bracketed,
     project_to_time,
     validate,
 )
-from trees import timed
+from trees import right_chain_text, timed
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -304,20 +303,12 @@ def test_criterion_6_single_node_is_plain_interval_iou():
     assert worst_exact
 
 
-def _chain(words: int) -> ParseTree:
-    text = "(X w)"
-    for _ in range(words - 1):
-        text = f"(X (X w) {text})"
-    tree = parse_bracketed(text)
-    return tree
-
-
 def test_criterion_7_quartic_scaling_bound():
     """Self-alignment time grows at most 20x when tree size doubles."""
     t0 = time.perf_counter()
     times = {}
     for words in (13, 25, 50):  # 25, 49, 99 nodes
-        tree = _chain(words)
+        tree = parse_bracketed(right_chain_text(words))
         best = None
         for _ in range(3):
             start = time.perf_counter()

@@ -8,6 +8,7 @@ from structiou.align import Alignment, MatchMode, PairSolver, max_weight_alignme
 from structiou.ambiguity import random_binary_tree
 from structiou.intervals import iou
 from structiou.oracle import alignment_problems, random_timed_tree
+from structiou.perturb import perturb_noise
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
@@ -17,7 +18,7 @@ from structiou.treebank import (
     parse_bracketed,
     project_to_time,
 )
-from trees import timed
+from trees import right_chain_text, timed, zigzag_text
 
 
 def by_label(tree):
@@ -198,10 +199,7 @@ def _relabel_unique(tree):
 
 def _right_chain_pair(words, seed):
     """Two timings of one right-branching chain, words 0.5 to 1.5 s long."""
-    text = "(X w)"
-    for _ in range(words - 1):
-        text = f"(X (X w) {text})"
-    tree = parse_bracketed(text)
+    tree = parse_bracketed(right_chain_text(words))
     rng = np.random.default_rng(seed)
     return _timed(tree, rng), _timed(tree, rng)
 
@@ -282,7 +280,48 @@ def test_recovery_fills_the_root_path_into_other_segments(monkeypatch):
             solver, out, refilled = _refilled_keys(monkeypatch, t1, t2, mode)
             assert alignment_problems(t1, t2, out, mode) == []
             root_refills += sum(k1 == solver.d1.n for k1, _ in refilled)
+            assert len(set(refilled)) == len(refilled)  # each table filled once
     assert root_refills > 0
+
+
+def test_alignment_is_repeatable():
+    """A second call returns the same pairs and objective: reading the
+    kept table, whole for a chain pair and one segment for a binary pair
+    (whose recovery also fills 9 lower tables again), does not use it up."""
+    rng = np.random.default_rng(0)
+    chain = _right_chain_pair(30, 11)
+    binary = tuple(_timed(random_binary_tree(20, rng), rng) for _ in range(2))
+    for t1, t2 in (chain, binary):
+        solver = PairSolver(t1, t2, "labeled")
+        once = solver.alignment()
+        twice = solver.alignment()
+        assert len(once.pairs) > 1
+        assert [(id(a), id(b)) for a, b in twice.pairs] == [
+            (id(a), id(b)) for a, b in once.pairs
+        ]
+        assert twice.objective == once.objective
+
+
+def test_recovery_peak_below_the_solve():
+    """Recovery takes pairs largest key first and holds one refilled table
+    at a time. A zig-zag's recovery fills dozens of tables again; keeping
+    them all until it returns would peak near twice the solve's peak."""
+    tree = parse_bracketed(zigzag_text(100))
+    # parse_bracketed puts word k at (k, k + 1)
+    table = BoundaryTable(tuple(
+        BoundaryRow(word, float(k), k + 1.0) for k, word in enumerate(tree.words)))
+    jittered = project_to_time(tree, perturb_noise(table, 0.3, np.random.default_rng(0)))
+    tree.nodes, jittered.nodes  # recovery's node view is not the solver's memory
+    tracemalloc.start()
+    try:
+        solver = PairSolver(tree, jittered, "labeled")
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solver.alignment()
+        recovery_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recovery_peak < solve_peak
 
 
 def _total_iou(alignment):
@@ -326,16 +365,10 @@ def test_peak_memory_balanced_below_three_F(seed, words):
 def test_scaling_stays_polynomial():
     """Runtime grows consistently with the quartic bound when doubling."""
 
-    def chain(words):
-        text = "(X w)"
-        for _ in range(words - 1):
-            text = f"(X (X w) {text})"
-        return parse_bracketed(text)
-
     sizes = [13, 25]  # 25 and 49 nodes
     times = []
     for w in sizes:
-        tree = chain(w)
+        tree = parse_bracketed(right_chain_text(w))
         best = min(
             _timed_solve(tree) for _ in range(3)
         )

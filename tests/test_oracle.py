@@ -25,7 +25,7 @@ from structiou.treebank import (
     project_to_time,
     validate,
 )
-from trees import mirrored, timed
+from trees import mirrored, timed, zigzag_text
 
 # sha256 of 20 trees drawn from each of seeds 0, 1 and 2 (see the
 # ``tree_digest`` fixture), keyed by (max_nodes, allow_gaps). Recorded
@@ -241,11 +241,8 @@ def chain(words, right):
 def zigzag(words):
     """A chain whose spine child switches sides at each level, over random
     word times. Its labels are X."""
-    text = "(X w0)"
-    for k in range(1, words):
-        text = f"(X {text} (X w{k}))" if k % 2 else f"(X (X w{k}) {text})"
     rng = np.random.default_rng(0)
-    return timed(text, np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
+    return timed(zigzag_text(words), np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
 
 
 def jittered(tree):

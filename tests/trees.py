@@ -26,6 +26,24 @@ def timed(text: str, times) -> ParseTree:
     return project_to_time(tree, table)
 
 
+def right_chain_text(words: int) -> str:
+    """A right-branching chain: each internal node X has a leaf (X w) on
+    its left."""
+    text = "(X w)"
+    for _ in range(words - 1):
+        text = f"(X (X w) {text})"
+    return text
+
+
+def zigzag_text(words: int) -> str:
+    """A chain whose spine child switches sides at each level. Its labels
+    are X."""
+    text = "(X w0)"
+    for k in range(1, words):
+        text = f"(X {text} (X w{k}))" if k % 2 else f"(X (X w{k}) {text})"
+    return text
+
+
 def retimed(t: ParseTree, shift: float, scale: float) -> ParseTree:
     """Every time t mapped to t * scale + shift."""
 
