@@ -96,18 +96,16 @@ def strip_single_word_phrases(tree: ParseTree) -> ParseTree:
     """Remove non-preterminal nodes that span exactly one word.
 
     Such a node's subtree holds one leaf, its ``first``; the leaf takes
-    the place of the highest of them, one level up per node removed.
+    the place of the highest of them.
     """
     first = tree.first
     leaf = first == np.arange(first.size)
     words = np.cumsum(leaf)  # words among nodes 0..i
     keep = leaf | (words != words[first])
     index = np.cumsum(keep) - 1
-    removed = np.bincount(first[~keep], minlength=first.size)
     return ParseTree._of(
         tuple(label for label, k in zip(tree.labels, keep.tolist()) if k),
-        index[first[keep]], (tree.depth - removed)[keep],
-        tree.starts[leaf], tree.ends[leaf], tree.words,
+        index[first[keep]], tree.starts[leaf], tree.ends[leaf], tree.words,
     )
 
 

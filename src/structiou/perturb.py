@@ -17,9 +17,9 @@ perturbed boundary rows.
 
 Insert and delete then rebuild the tree in one pass, ``_regrouped``. A
 word that comes from one input word (kept, or half of a split) takes
-that word's leaf slot, label and depth. A merged word takes the label
-of word a and hangs one level below the lowest common ancestor of
-leaves a and b, right before the ancestor's child that holds leaf b.
+that word's leaf slot and label. A merged word takes the label of word
+a and becomes a child of the lowest common ancestor of leaves a and b,
+right before the ancestor's child that holds leaf b.
 A node with nothing left below it is dropped. Every node's time comes
 from the new boundary rows.
 """
@@ -187,10 +187,10 @@ def _regrouped(
     """The tree and table with word k turned into the (row, word) pairs
     ``replaced[k]`` (kept when absent) and each run a..b into the one
     word ``merged[a, b]``, by the rule in the module docstring."""
-    first, depth = tree.first.tolist(), tree.depth.tolist()
+    first = tree.first.tolist()
     leaf = [i for i, f in enumerate(first) if f == i]  # node of each word
-    # before[p] = (label, depth, (row, word)): a merged word, placed
-    # right before input node p
+    # before[p] = (label, (row, word)): a merged word, placed right
+    # before input node p
     before: dict[int, tuple] = {}
     for (a, b), pair in merged.items():
         # The LCA is the first node after leaf b whose subtree reaches
@@ -200,22 +200,20 @@ def _regrouped(
         while first[lca] > leaf[a]:
             place = min(place, first[lca])
             lca += 1
-        before[place] = (tree.labels[leaf[a]], depth[lca] + 1, pair)
+        before[place] = (tree.labels[leaf[a]], pair)
 
     labels: list[str] = []
     new_first: list[int] = []
-    new_depth: list[int] = []
     rows: list[BoundaryRow] = []
     words: list[str | None] = []
     # mark[i]: output size before input node i, after any word placed there
     mark: list[int] = []
     kept = enumerate(zip(table.rows, tree.words))
-    for i, (label, f, d) in enumerate(zip(tree.labels, first, depth)):
+    for i, (label, f) in enumerate(zip(tree.labels, first)):
         if i in before:
-            merged_label, merged_depth, (row, word) = before[i]
+            merged_label, (row, word) = before[i]
             labels.append(merged_label)
             new_first.append(len(new_first))
-            new_depth.append(merged_depth)
             rows.append(row)
             words.append(word)
         mark.append(len(labels))
@@ -224,17 +222,15 @@ def _regrouped(
             for row, word in replaced.get(k, (pair,)):
                 labels.append(label)
                 new_first.append(len(new_first))
-                new_depth.append(d)
                 rows.append(row)
                 words.append(word)
         elif mark[f] < len(labels):  # else nothing is left below: dropped
             labels.append(label)
             new_first.append(mark[f])
-            new_depth.append(d)
 
     starts = [row.start for row in rows]
     ends = [row.end for row in rows]
-    tree = ParseTree._of(tuple(labels), new_first, new_depth, starts, ends, tuple(words))
+    tree = ParseTree._of(tuple(labels), new_first, starts, ends, tuple(words))
     return tree, BoundaryTable(tuple(rows))
 
 

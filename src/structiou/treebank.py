@@ -4,8 +4,9 @@ A parse tree is held as read-only postorder arrays, the form the
 alignment solver reads. For node i in postorder: ``labels[i]``;
 ``first[i]``, the index of its leftmost leaf (i itself for a leaf), so
 node j lies strictly below node i iff ``first[i] <= j < i`` (Zhang &
-Shasha's leftmost-descendant numbering); ``depth[i]``, its number of
-strict ancestors; and its open time interval ``(starts[i], ends[i])``.
+Shasha's leftmost-descendant numbering); and its open time interval
+``(starts[i], ends[i])``. ``first`` is the only stored shape: ``depth``,
+each node's number of strict ancestors, is derived from it when read.
 ``words`` holds the leaves' words left to right. Children are pairwise
 disjoint and ordered left to right, and an internal node's interval is
 exactly the hull of its children's.
@@ -88,18 +89,18 @@ class TreeNode:
 
 def _frozen(values, dtype) -> np.ndarray:
     array = np.asarray(values, dtype=dtype)
-    array.flags.writeable = False
+    # not ``flags.writeable = False``, which leaves traced bytes behind
+    array.setflags(write=False)
     return array
 
 
 class ParseTree:
     """A parse tree's postorder arrays, with its node view built on demand."""
 
-    __slots__ = ("labels", "first", "depth", "starts", "ends", "words", "_nodes")
+    __slots__ = ("labels", "first", "starts", "ends", "words", "_nodes")
 
     labels: tuple[str, ...]
     first: np.ndarray
-    depth: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     words: tuple[str | None, ...]
@@ -108,27 +109,25 @@ class ParseTree:
         """The tree under ``root``, which becomes its view."""
         nodes: list[TreeNode] = []
         first: list[int] = []
-        depth: list[int] = []
-        # (node, depth, index of its first descendant, or -1 before its children)
-        stack = [(root, 0, -1)]
+        # (node, index of its first descendant, or -1 before its children)
+        stack = [(root, -1)]
         while stack:
-            node, d, lo = stack.pop()
+            node, lo = stack.pop()
             if lo < 0 and node.children:
-                stack.append((node, d, len(nodes)))
-                stack.extend((c, d + 1, -1) for c in reversed(node.children))
+                stack.append((node, len(nodes)))
+                stack.extend((c, -1) for c in reversed(node.children))
                 continue
             first.append(len(nodes) if lo < 0 else lo)
-            depth.append(d)
             nodes.append(node)
         self._set(
-            tuple(n.label for n in nodes), first, depth,
+            tuple(n.label for n in nodes), first,
             [n.start for n in nodes], [n.end for n in nodes],
             tuple(n.word for n in nodes if n.is_leaf),
         )
         self._nodes = tuple(nodes)
 
     @classmethod
-    def _of(cls, labels, first, depth, starts, ends, words) -> "ParseTree":
+    def _of(cls, labels, first, starts, ends, words) -> "ParseTree":
         """A tree from its shape and its leaves' rows; the view is built
         when asked for. Each node spans from its first leaf's row start to
         its last leaf's row end. ``rows[i]`` is the row of the last leaf
@@ -137,16 +136,24 @@ class ParseTree:
         rows = np.cumsum(first == np.arange(first.size)) - 1
         starts, ends = np.asarray(starts, float), np.asarray(ends, float)
         tree = cls.__new__(cls)
-        tree._set(labels, first, depth, starts[rows[first]], ends[rows], words)
+        tree._set(labels, first, starts[rows[first]], ends[rows], words)
         tree._nodes = None
         return tree
 
-    def _set(self, labels, first, depth, starts, ends, words) -> None:
+    def _set(self, labels, first, starts, ends, words) -> None:
         self.labels, self.words = labels, words
         self.first = _frozen(first, np.int64)
-        self.depth = _frozen(depth, np.int64)
         self.starts = _frozen(starts, float)
         self.ends = _frozen(ends, float)
+
+    @property
+    def depth(self) -> np.ndarray:
+        """Each node's number of strict ancestors, derived from ``first``:
+        node j adds 1 from ``first[j]`` on and takes 1 off from j itself on,
+        so the running sum at i counts the nodes j with first[j] <= i < j."""
+        n = self.first.size
+        below = np.add.accumulate(np.bincount(self.first, minlength=n))
+        return _frozen(below - np.arange(1, n + 1), np.int64)
 
     @property
     def node_count(self) -> int:
@@ -238,7 +245,6 @@ def parse_bracketed(text: str) -> ParseTree:
         raise _syntax_error(text, f"expected '(' but found {tokens[0]!r}", 0)
     labels: list[str] = []
     first: list[int] = []
-    depth: list[int] = []
     words: list[str] = []
     # The innermost open constituent: its '(' token, label, first node,
     # word count and word; the enclosing ones wait on the stack.
@@ -271,7 +277,6 @@ def parse_bracketed(text: str) -> ParseTree:
                 words.append(word)
             labels.append(label)
             first.append(lo)
-            depth.append(len(stack) - 1)
             opened, label, lo, nwords, word = stack.pop()
             i += 1
             if not stack:
@@ -285,7 +290,7 @@ def parse_bracketed(text: str) -> ParseTree:
         if i == end:
             raise _syntax_error(text, "unbalanced parentheses", opened)
     starts = np.arange(len(words), dtype=float)
-    return ParseTree._of(tuple(labels), first, depth, starts, starts + 1.0, tuple(words))
+    return ParseTree._of(tuple(labels), first, starts, starts + 1.0, tuple(words))
 
 
 def _syntax_error(text: str, message: str, token: int) -> TreeSyntaxError:
@@ -461,7 +466,7 @@ def project_to_time(tree: ParseTree, table: BoundaryTable) -> ParseTree:
 
 def _respanned(tree: ParseTree, starts: np.ndarray, ends: np.ndarray) -> ParseTree:
     """The tree over new leaf rows: same shape, labels and words."""
-    return ParseTree._of(tree.labels, tree.first, tree.depth, starts, ends, tree.words)
+    return ParseTree._of(tree.labels, tree.first, starts, ends, tree.words)
 
 
 # ---------------------------------------------------------------------------

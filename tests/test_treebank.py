@@ -3,9 +3,15 @@ import io
 import numpy as np
 import pytest
 
+from structiou.ambiguity import (
+    enumerate_plausible,
+    random_binary_tree,
+    strip_single_word_phrases,
+)
 from structiou.errors import DataError, TreeSyntaxError
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import random_timed_tree
+from structiou.perturb import perturb_delete, perturb_insert, sentence_rng
 from structiou.treebank import (
     MAX_SPAN,
     BoundaryRow,
@@ -355,6 +361,7 @@ class TestPostorder:
                 walk(c, ancestors + 1)
 
         walk(tree.root, 0)
+        assert depth.dtype == np.int64 and not depth.flags.writeable
 
     def test_random_trees(self):
         rng = np.random.default_rng(19)
@@ -368,6 +375,44 @@ class TestPostorder:
         self.check(tree)
         first, depth = tree.first, tree.depth
         assert first[-1] == 0 and max(depth) == words - 1
+
+    @pytest.mark.parametrize("delta", [0.3, 1.0])
+    @pytest.mark.parametrize("perturb", [perturb_insert, perturb_delete])
+    def test_perturbed_trees(self, perturb, delta):
+        rng = np.random.default_rng(23)
+        changed = 0
+        for k in range(60):
+            tree = random_timed_tree(rng, 30, allow_gaps=False)
+            table = BoundaryTable(tuple(
+                BoundaryRow(leaf.word, leaf.start, leaf.end) for leaf in leaves(tree.root)
+            ))
+            out, _ = perturb(tree, table, delta, sentence_rng(3, k))
+            self.check(out)
+            changed += out.node_count != tree.node_count
+        assert changed > 30
+
+    def test_stripped_trees(self):
+        rng = np.random.default_rng(29)
+        trees = enumerate_plausible(3) + [random_binary_tree(12, rng) for _ in range(20)]
+        trees += [random_timed_tree(rng, 30) for _ in range(40)]  # unary wrappers
+        for tree in trees:
+            self.check(strip_single_word_phrases(tree))
+
+    def test_one_node_and_unary_chain(self):
+        from structiou.intervals import OpenInterval
+        from structiou.treebank import ParseTree, TreeNode
+
+        self.check(parse_bracketed("(X w)"))
+        span = OpenInterval(0, 2)
+        chain = TreeNode("A", span, children=(TreeNode("B", span, children=(
+            TreeNode("C", OpenInterval(0, 1), word="x"),
+            TreeNode("D", OpenInterval(1, 2), children=(
+                TreeNode("E", OpenInterval(1, 2), word="y"),
+            )),
+        )),))
+        tree = ParseTree(chain)
+        self.check(tree)
+        assert tree.depth.tolist() == [2, 3, 2, 1, 0]
 
 
 class TestDeepChain:
