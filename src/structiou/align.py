@@ -11,7 +11,10 @@ Shasha 1989). A keyroot that is a single node, a leaf, has nothing below
 it to pair, so it gets no table and no segment. Each pair numbers
 children left to right or right to left, whichever gives the smaller
 product of ``sum(k - first[k])`` over the two trees' keyroots (RTED,
-Pawlik & Augsten 2011). Cost: that many rows times
+Pawlik & Augsten 2011). Both costs come from the postorder: subtree
+sizes do not change, and the mirrored keyroots are the virtual root and
+the nodes with a right sibling. Only the numbering solved in is built,
+and the mirrored one alone reads ``depth``. Cost: that many rows times
 ``sum(k - first[k] + 1)`` columns, W, over the keyroots of more than one
 node. A solve holds F, one buffer of the table rows still to be read,
 and the last segment of the virtual root's table, which is the second
@@ -62,33 +65,39 @@ class Alignment:
     objective: float
 
 
-def _paths(first: np.ndarray) -> dict[int, int]:
-    """Each leftmost path's keyroot, keyed by the path's ``first``."""
-    return dict(zip(first.tolist(), range(first.size)))
+def _cost(paths: dict[int, int]) -> int:
+    """``sum(k - first[k])`` over a numbering's keyroots."""
+    return sum(k - f for f, k in paths.items())
+
+
+def _mirrored_cost(first: np.ndarray) -> int:
+    """``_cost`` in the mirrored numbering, from the postorder ``first``.
+    Its keyroots are the virtual root and the nodes followed by a leaf."""
+    size = np.arange(first.size) - first  # each subtree's size - 1
+    return first.size + int(size[:-1][size[1:] == 0].sum())
 
 
 class _TreeData:
-    """A tree's postorder arrays, with a virtual root at index n."""
+    """A tree's arrays in one numbering, with a virtual root at index n:
+    postorder, or mirrored, with children right to left. ``rank`` maps
+    each node back to its postorder index."""
 
-    def __init__(self, tree: ParseTree):
+    def __init__(self, tree: ParseTree, mirrored: bool = False):
         self.tree = tree
-        first, depth = tree.first, tree.depth
+        first = tree.first
         self.n = n = first.size
         self.rank = np.arange(n)
-        self.first = np.append(first, 0)
         self.starts, self.ends, self.labels = tree.starts, tree.ends, tree.labels
-        # ``flipped`` is ``first`` in the mirrored postorder: this preorder
-        # reversed, where a node's preorder index is its first plus depth.
-        self._flip = n - 1 - first - depth
-        self.flipped = np.zeros(n + 1, dtype=np.int64)
-        self.flipped[self._flip] = self._flip - self.rank + first
-
-    def mirror(self):
-        """Renumber the nodes children right to left; ``rank`` maps back."""
-        order = np.argsort(self._flip)
-        self.rank, self.first = order, self.flipped
-        self.starts, self.ends = self.starts[order], self.ends[order]
-        self.labels = [self.labels[i] for i in order]
+        if mirrored:
+            # The mirror numbers nodes by reversed preorder, first + depth.
+            # A node's first is its index less its subtree's size - 1.
+            order = np.argsort(n - 1 - first - tree.depth)
+            self.rank, first = order, self.rank - order + first[order]
+            self.starts, self.ends = self.starts[order], self.ends[order]
+            self.labels = [self.labels[i] for i in order.tolist()]
+        self.first = np.append(first, 0)
+        # each leftmost path's keyroot, keyed by the path's first
+        self.paths = dict(zip(self.first.tolist(), range(n + 1)))
 
 
 class PairSolver:
@@ -100,16 +109,12 @@ class PairSolver:
 
     def __init__(self, t1: ParseTree, t2: ParseTree, mode: MatchMode | str):
         self.mode = MatchMode(mode)
-        self.d1, self.d2 = d1, d2 = _TreeData(t1), _TreeData(t2)
-        paths = [_paths(first) for first in (d1.first, d2.first, d1.flipped, d2.flipped)]
-        cost = [sum(k - f for f, k in p.items()) for p in paths]
-        self.mirrored = cost[2] * cost[3] < cost[0] * cost[1]
+        d1, d2 = _TreeData(t1), _TreeData(t2)
+        left = _cost(d1.paths) * _cost(d2.paths)
+        self.mirrored = _mirrored_cost(t1.first) * _mirrored_cost(t2.first) < left
         if self.mirrored:
-            d1.mirror()
-            d2.mirror()
-            paths = paths[2:]
-        # each tree's keyroots by path, in the chosen numbering
-        self.paths1, self.paths2 = paths[:2]
+            d1, d2 = _TreeData(t1, True), _TreeData(t2, True)
+        self.d1, self.d2 = d1, d2
         self._solve()
 
     def _solve(self):
@@ -124,7 +129,7 @@ class PairSolver:
             ids2 = np.array([lab2.setdefault(label, len(lab2)) for label in d2.labels])
             ids1 = np.array([lab2.get(label, -1) for label in d1.labels])
             F[:-1, :-1][ids1[:, None] != ids2] = NEG
-        top2 = self.paths2
+        top2 = d2.paths
         cols = self._columns(sorted(k for f, k in top2.items() if f < k))
         off = cols[3]
         # each second-tree node's column: its descendants' prefix, or for
@@ -135,23 +140,22 @@ class PairSolver:
         # keyroot; such rows nest, so it takes 1 + the paths open around
         # x. Other rows share row 1: the next row reads it before writing.
         slot, around = [1] * (d1.n + 1), []
-        for f, k in self.paths1.items():  # in increasing f
+        for f, k in d1.paths.items():  # in increasing f
             if f < k:
                 while around and around[-1] < f:
                     around.pop()
                 around.append(k)
                 slot[f] = len(around)
         buf = list(np.zeros((max(slot) + 1, cols[0].size)))
-        keyroots = sorted(k for f, k in self.paths1.items() if f < k)
-        for k in keyroots[:-1]:
-            self._table(k, cols, into, buf, slot)
+        for k, f in sorted((k, f) for f, k in d1.paths.items() if f < k)[:-1]:
+            self._table(k, cols, [buf[0], *(buf[s] for s in slot[f + 1 : k + 1])], into)
         # The virtual root's table is last. Keep its last segment, the
         # second tree's virtual root's: the whole table if it is the only one.
+        self.top = top = np.zeros((d1.n + 1, d2.n + 1))
         if cols[2] is None:
-            self.top = self._table(d1.n, cols, into)
+            self._table(d1.n, cols, list(top), into)
         else:
-            self.top = np.zeros((d1.n + 1, d2.n + 1))
-            self._table(d1.n, cols, into, buf, slot, self.top)
+            self._table(d1.n, cols, [buf[0], *(buf[s] for s in slot[1:])], into, top)
         self.objective = float(self.top[-1, -1])
 
     def _columns(self, keyroots: list[int]):
@@ -174,27 +178,20 @@ class PairSolver:
         z = seg + 0j if ks.size > 1 else None
         return w, pred, z, dict(zip(keyroots, off.tolist()))
 
-    def _table(self, k: int, cols, into=None, buf=None, slot=None, top=None):
-        """``G[i, c]``: best F total over ordered disjoint pairings among
-        keyroot k's first i descendants and column c's segment up to c.
+    def _table(self, k: int, cols, rows, into=None, top=None):
+        """Fill ``rows[i][c]``: the best F total over ordered disjoint
+        pairings among keyroot k's first i descendants and column c's
+        segment up to c. ``rows[0]`` must be all 0.0.
 
         Complex numbers order by real part first, so the running maximum
         restarts per segment; one segment needs no restart. Given
         ``into``, each node's column, rows also complete F for the nodes
-        on k's path, k last. Without ``buf`` the table is whole and
-        returned. Given ``buf``, the shared buffer's rows, row i is
-        ``buf[slot[first[k] + i]]`` (row 0 ``buf[0]``, all 0.0), and
-        ``top`` gets a copy of each row's last columns.
+        on k's path, k last. Given ``top``, it gets a copy of each row's
+        last columns.
         """
         first, F = self.d1.first.tolist(), self.F
         lo = first[k]
         w, pred, z, _ = cols
-        if buf is None:
-            G = np.empty((k - lo + 1, w.size))
-            G[0] = 0.0
-            rows = list(G)
-        else:
-            G, rows = None, [buf[0], *(buf[s] for s in slot[lo + 1 : k + 1])]
         for i in range(1, k - lo + 1):
             u, prev, row = lo + i - 1, rows[i - 1], rows[i]
             if into is not None and first[u] == lo:
@@ -212,7 +209,6 @@ class PairSolver:
                 top[i] = row[-top.shape[1] :]
         if into is not None:
             F[k, :-1] += rows[-1].take(into)
-        return G
 
     # -- public queries -----------------------------------------------
 
@@ -225,9 +221,8 @@ class PairSolver:
         """
         if not (0 <= i < self.d1.n and 0 <= j < self.d2.n):
             raise IndexError(f"node pair ({i}, {j}) outside the trees")
-        if self.mirrored:  # postorder node i is mirrored node _flip[i]
-            i, j = self.d1._flip[i], self.d2._flip[j]
-        value = self.F[i, j]
+        # the numbered nodes whose rank is i and j
+        value = self.F[np.argmax(self.d1.rank == i), np.argmax(self.d2.rank == j)]
         return float("-inf") if value <= NEG / 2 else float(value)
 
     def alignment(self) -> Alignment:
@@ -235,7 +230,7 @@ class PairSolver:
         left-to-right postorder. Each call fills its tables again."""
         d1, d2 = self.d1, self.d2
         first1, first2 = d1.first.tolist(), d2.first.tolist()
-        top1, top2 = self.paths1, self.paths2
+        top1, top2 = d1.paths, d2.paths
         # A pair found below (p, q) has keyroots no greater than p's and
         # q's, both equal only on p's and q's paths. So keys leave the heap
         # largest first: each table is filled at most once, and none is
@@ -245,7 +240,9 @@ class PairSolver:
         while todo:
             k1, k2, p, q = heapq.heappop(todo)
             if (k1, k2) != key:
-                key, G = (k1, k2), self._table(-k1, self._columns([-k2]))
+                cols = self._columns([-k2])
+                key, G = (k1, k2), np.zeros((-k1 - first1[-k1] + 1, cols[0].size))
+                self._table(-k1, cols, list(G))
             i, j = p - first1[p], q - first2[q]
             while i > 0 and j > 0:
                 v = G[i, j]

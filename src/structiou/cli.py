@@ -181,12 +181,16 @@ def _sentences(
 
 def _paired(args) -> Iterator[tuple[ParseTree, ParseTree]]:
     """The gold and predicted sentences in step, projected when ``args``
-    names boundary files; unprojected trees are word-indexed."""
-    sides = [
-        _sentences(getattr(args, role), role, getattr(args, f"{role}_bounds", None))
-        for role in ("gold", "pred")
-    ]
-    for (gold, _), (pred, _) in _in_step(*sides, "gold has {} trees but pred has {}"):
+    names boundary files; unprojected trees are word-indexed, so each
+    pair must have the same number of words."""
+    bounds = [getattr(args, f"{role}_bounds", None) for role in ("gold", "pred")]
+    sides = [_sentences(getattr(args, role), role, b)
+             for role, b in zip(("gold", "pred"), bounds)]
+    pairs = _in_step(*sides, "gold has {} trees but pred has {}")
+    for k, ((gold, _), (pred, _)) in enumerate(pairs):
+        if bounds == [None, None] and len(gold.words) != len(pred.words):
+            raise DataError(f"sentence {k}: word count mismatch: "
+                            f"gold {len(gold.words)}, predicted {len(pred.words)}")
         yield gold, pred
 
 
@@ -224,12 +228,7 @@ def cmd_eval(args) -> int:
 
 def cmd_parseval(args) -> int:
     mode = _mode(args)
-    scores = []
-    for k, (g, p) in enumerate(_paired(args)):
-        try:
-            scores.append(parseval_f1(g, p, mode))
-        except DataError as exc:
-            raise DataError(f"sentence {k}: {exc}") from exc
+    scores = [parseval_f1(g, p, mode) for g, p in _paired(args)]
     if not scores:
         raise DataError("empty corpus")
     micro = score_from_counts(
@@ -445,7 +444,7 @@ def cmd_oracle_check(args) -> int:
                 "tree2": _tree_payload(t2),
             }
             path = out_dir / f"oracle_counterexample_{trial}.json"
-            _write_text(path, json.dumps(payload, indent=2))
+            _write_text(path, json.dumps(payload, indent=2) + "\n")
             reason = (f"solver {dp.objective!r} != {reference} {ref!r}"
                       if mismatch else problems[0])
             _print_error(f"trial {trial}: {reason}; wrote {path}")

@@ -40,31 +40,26 @@ class GroupedScores:
 
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(len(xs))
-    sorted_xs = xs[order]
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and sorted_xs[j + 1] == sorted_xs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Each value's rank from 1, ties sharing their mean rank: the count
+    below it plus (the count equal to it + 1) / 2."""
+    _, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(xs: list[float], ys: list[float]) -> float:
     """Spearman rank correlation with average ranks for ties.
 
     Returns nan when either list has zero rank variance (callers should
-    flag such runs as degenerate).
+    flag such runs as degenerate). Values must be finite.
     """
     if len(xs) != len(ys):
         raise UsageError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise UsageError("need at least 2 points for a correlation")
-    rx = _average_ranks(np.asarray(xs, dtype=float))
-    ry = _average_ranks(np.asarray(ys, dtype=float))
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise UsageError("cannot rank non-finite values")
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())

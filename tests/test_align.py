@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from structiou.align import Alignment, MatchMode, PairSolver, max_weight_alignment
+from structiou.align import (
+    Alignment,
+    MatchMode,
+    PairSolver,
+    _cost,
+    _mirrored_cost,
+    _TreeData,
+    max_weight_alignment,
+)
 from structiou.ambiguity import random_binary_tree
 from structiou.intervals import iou
 from structiou.oracle import alignment_problems, random_timed_tree
@@ -18,7 +26,7 @@ from structiou.treebank import (
     parse_bracketed,
     project_to_time,
 )
-from trees import right_chain_text, timed, zigzag_text
+from trees import left_chain_text, mirrored, right_chain_text, timed, zigzag_text
 
 
 def by_label(tree):
@@ -228,6 +236,54 @@ def test_pairs_in_left_to_right_postorder_when_solved_mirrored():
     order = [index[id(a)] for a, _ in solver.alignment().pairs]
     assert len(order) > 1
     assert order == sorted(order)
+
+
+def _numbering_cases():
+    rng = np.random.default_rng(21)
+    yield "(X w)"
+    yield from ("(S (X a) (X b))", "(S (X (Y a)) (X b))", "(S (X a) (X (Y b)))")
+    for words in (2, 3, 7, 20):
+        yield right_chain_text(words)
+        yield left_chain_text(words)
+    yield from (zigzag_text(words) for words in range(2, 13))
+    yield from (random_binary_tree(words, rng) for words in (1, 2, 5, 17, 40))
+    yield from (random_timed_tree(rng, nodes) for nodes in (1, 2, 3, 8, 30, 60, 60))
+
+
+def test_mirrored_numbering_matches_an_independent_mirror():
+    """The mirrored cost, read off the postorder ``first``, is the
+    left-to-right keyroot cost of the tree rebuilt with its children
+    reversed, and the mirrored arrays are that tree's."""
+    for case in _numbering_cases():
+        t = parse_bracketed(case) if isinstance(case, str) else case
+        flipped = _TreeData(mirrored(t))
+        assert _mirrored_cost(t.first) == _cost(flipped.paths)
+        d = _TreeData(t, mirrored=True)
+        assert d.first.tolist() == flipped.first.tolist()
+        assert d.labels == list(flipped.labels)
+        assert d.starts.tolist() == (-flipped.ends).tolist()
+        assert sorted(d.rank.tolist()) == list(range(t.node_count))
+
+
+def test_depth_is_read_only_for_a_mirrored_pair(monkeypatch):
+    """A pair solved left to right reads no ``depth``; a mirrored pair
+    reads it once per tree, for the preorder index of each node."""
+    reads = []
+    depth = ParseTree.depth
+    spy = property(lambda tree: reads.append(id(tree)) or depth.fget(tree))
+    rng = np.random.default_rng(5)
+    left = parse_bracketed(left_chain_text(12))
+    pairs = [_right_chain_pair(12, 3), (_timed(left, rng), _timed(left, rng))]
+    pairs += [(random_timed_tree(rng, 30), random_timed_tree(rng, 30)) for _ in range(30)]
+    monkeypatch.setattr(ParseTree, "depth", spy)
+    seen = []
+    for t1, t2 in pairs:
+        reads.clear()
+        solver = PairSolver(t1, t2, "labeled")
+        solver.alignment()
+        assert reads == ([id(t1), id(t2)] if solver.mirrored else [])
+        seen.append(solver.mirrored)
+    assert seen[:2] == [True, False] and len(set(seen[2:])) == 2
 
 
 def _refilled_keys(monkeypatch, t1, t2, mode):

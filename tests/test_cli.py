@@ -111,6 +111,20 @@ class TestEval:
         ])
         assert code == 2
 
+    def test_even_word_count_mismatch_exit2(self, tmp_path, capsys):
+        """Word-indexed trees must share their words: eval --even refuses
+        a pair whose word counts differ, with parseval's message."""
+        gold = tmp_path / "gold.trees"
+        gold.write_text("(S (NP (PRP it)) (VP (VBD ran) (ADVP (RB off))))\n")
+        pred = tmp_path / "pred.trees"
+        pred.write_text(
+            "(S (NP (-NONE- *-1) (PRP it)) (VP (VBD ran) (ADVP (RB off))))\n"
+        )
+        message = "error: sentence 0: word count mismatch: gold 3, predicted 4\n"
+        for argv in (["eval", "--even"], ["eval", "--even", "--unlabeled"], ["parseval"]):
+            assert main(argv + ["--gold", str(gold), "--pred", str(pred)]) == 2
+            assert capsys.readouterr().err == message
+
     def test_missing_projection_exit1(self, corpus):
         code = main([
             "eval", "--gold", corpus["gold.trees"], "--pred", corpus["pred.trees"],
@@ -857,7 +871,9 @@ class TestOracleCheck:
             "--seed", "4", "--out", str(out_dir),
         ])
         assert code == 3
-        payload = json.loads((out_dir / "oracle_counterexample_0.json").read_text())
+        dump = out_dir / "oracle_counterexample_0.json"
+        assert dump.read_bytes().endswith(b"}\n")
+        payload = json.loads(dump.read_text())
         assert payload["reference"] == "ted"
         assert payload["oracle_objective"] == 1e6
         assert "!= ted 1000000.0" in capsys.readouterr().err

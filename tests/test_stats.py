@@ -2,9 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structiou.errors import UsageError
-from structiou.stats import GroupRecord, group_sample, spearman
+from structiou.stats import GroupRecord, _average_ranks, group_sample, spearman
+
+
+# a small pool makes ties, -0.0 among them, common
+values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, -1e-300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(values, min_size=1, max_size=30))
+def test_average_rank_definition(xs):
+    """Each value's rank is the count below it plus (the count equal to
+    it + 1) / 2."""
+    ranks = _average_ranks(np.array(xs))
+    assert ranks.tolist() == [
+        sum(y < x for y in xs) + (sum(y == x for y in xs) + 1) / 2 for x in xs
+    ]
 
 
 class TestSpearman:
@@ -36,6 +54,13 @@ class TestSpearman:
             spearman([1, 2], [1, 2, 3])
         with pytest.raises(UsageError):
             spearman([1], [1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(UsageError, match="non-finite"):
+            spearman([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(UsageError, match="non-finite"):
+            spearman([1.0, 2.0, 3.0], [1.0, bad, 2.0])
 
 
 class TestGroupSample:

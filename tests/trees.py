@@ -35,6 +35,15 @@ def right_chain_text(words: int) -> str:
     return text
 
 
+def left_chain_text(words: int) -> str:
+    """A left-branching chain: each internal node X has a leaf (X w) on
+    its right."""
+    text = "(X w)"
+    for _ in range(words - 1):
+        text = f"(X {text} (X w))"
+    return text
+
+
 def zigzag_text(words: int) -> str:
     """A chain whose spine child switches sides at each level. Its labels
     are X."""
