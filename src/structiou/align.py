@@ -11,20 +11,21 @@ Shasha 1989). A keyroot that is a single node, a leaf, has nothing below
 it to pair, so it gets no table and no segment. Each pair numbers
 children left to right or right to left, whichever gives the smaller
 product of ``sum(k - first[k])`` over the two trees' keyroots (RTED,
-Pawlik & Augsten 2011). Both costs come from the postorder: subtree
-sizes do not change, and the mirrored keyroots are the virtual root and
-the nodes with a right sibling. Only the numbering solved in is built,
-and the mirrored one alone reads ``depth``. Cost: that many rows times
-``sum(k - first[k] + 1)`` columns, W, over the keyroots of more than one
-node. A solve holds F, one buffer of the table rows still to be read,
-and the last segment of the virtual root's table, which is the second
-tree's virtual root's and F's size (a one-segment table is kept whole).
-A row is read past the next row only if the node it adds next starts a
-lower path, and then until that path's keyroot, so those rows nest. With
-s the most paths of more than one node around one node, the buffer has
-s + 1 rows of W and the peak is about 2 F + (s + 1) W doubles. Recovery
-takes matched pairs largest key first and holds one refilled table, one
-segment, at a time: its peak is F + the kept segment + that one table.
+Pawlik & Augsten 2011). Both costs come from the postorder ``first``:
+subtree sizes do not change, and the mirrored keyroots are the virtual
+root and the nodes with a right sibling. Each tree is numbered once, in
+the numbering solved in; the mirrored one is reversed preorder, a stable
+sort of ``first``. Cost: that many rows times ``sum(k - first[k] + 1)``
+columns, W, over the keyroots of more than one node. A solve holds F,
+one buffer of the table rows still to be read, and the last segment of
+the virtual root's table, which is the second tree's virtual root's and
+F's size (a one-segment table is kept whole). A row is read past the
+next row only if the node it adds next starts a lower path, and then
+until that path's keyroot, so those rows nest. With s the most paths of
+more than one node around one node, the buffer has s + 1 rows of W and
+the peak is about 2 F + (s + 1) W doubles. Recovery takes matched pairs
+largest key first and holds one refilled table, one segment, at a time:
+its peak is F + the kept segment + that one table.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import iou_matrix
-from .treebank import ParseTree, TreeNode
+from .treebank import ParseTree, TreeNode, _preorder
 
 __all__ = [
     "MatchMode",
@@ -65,56 +66,56 @@ class Alignment:
     objective: float
 
 
-def _cost(paths: dict[int, int]) -> int:
-    """``sum(k - first[k])`` over a numbering's keyroots."""
-    return sum(k - f for f, k in paths.items())
-
-
-def _mirrored_cost(first: np.ndarray) -> int:
-    """``_cost`` in the mirrored numbering, from the postorder ``first``.
-    Its keyroots are the virtual root and the nodes followed by a leaf."""
-    size = np.arange(first.size) - first  # each subtree's size - 1
-    return first.size + int(size[:-1][size[1:] == 0].sum())
+def _costs(first: np.ndarray) -> tuple[int, int, dict[int, int]]:
+    """``sum(k - first[k])`` over the keyroots of the postorder and of the
+    mirrored numbering, whose keyroots are the virtual root and the nodes
+    followed by a leaf; and the postorder's path dict (see _TreeData)."""
+    n = first.size
+    paths = dict(zip([*first.tolist(), 0], range(n + 1)))
+    size = np.arange(n) - first  # each subtree's size - 1
+    mirrored = n + int(size[:-1][size[1:] == 0].sum())
+    return sum(k - f for f, k in paths.items()), mirrored, paths
 
 
 class _TreeData:
     """A tree's arrays in one numbering, with a virtual root at index n:
-    postorder, or mirrored, with children right to left. ``rank`` maps
-    each node back to its postorder index."""
+    postorder, with the ``_costs`` path dict, or mirrored, with children
+    right to left. ``rank`` maps each node back to its postorder index."""
 
-    def __init__(self, tree: ParseTree, mirrored: bool = False):
+    def __init__(self, tree: ParseTree, mirrored: bool, paths: dict[int, int]):
         self.tree = tree
         first = tree.first
         self.n = n = first.size
         self.rank = np.arange(n)
         self.starts, self.ends, self.labels = tree.starts, tree.ends, tree.labels
         if mirrored:
-            # The mirror numbers nodes by reversed preorder, first + depth.
-            # A node's first is its index less its subtree's size - 1.
-            order = np.argsort(n - 1 - first - tree.depth)
+            # The mirror numbers nodes by reversed preorder. A node's
+            # first is its index less its subtree's size - 1.
+            order = _preorder(first)[::-1]
             self.rank, first = order, self.rank - order + first[order]
             self.starts, self.ends = self.starts[order], self.ends[order]
             self.labels = [self.labels[i] for i in order.tolist()]
+            paths = dict(zip([*first.tolist(), 0], range(n + 1)))
         self.first = np.append(first, 0)
-        # each leftmost path's keyroot, keyed by the path's first
-        self.paths = dict(zip(self.first.tolist(), range(n + 1)))
+        self.paths = paths  # each leftmost path's keyroot, keyed by the path's first
 
 
 class PairSolver:
     """One alignment problem over a fixed tree pair and match mode.
 
-    Solved on construction; the objective, the realizing pairs and the
-    per-subtree-pair optima are then cheap lookups.
+    Solved on construction, in one numbering of each tree; the objective
+    and the per-subtree-pair optima are then lookups. ``alignment()``
+    recovers the realizing pairs, filling the keyroot tables it reads
+    again on every call: dozens of them on a zig-zag.
     """
 
     def __init__(self, t1: ParseTree, t2: ParseTree, mode: MatchMode | str):
         self.mode = MatchMode(mode)
-        d1, d2 = _TreeData(t1), _TreeData(t2)
-        left = _cost(d1.paths) * _cost(d2.paths)
-        self.mirrored = _mirrored_cost(t1.first) * _mirrored_cost(t2.first) < left
-        if self.mirrored:
-            d1, d2 = _TreeData(t1, True), _TreeData(t2, True)
-        self.d1, self.d2 = d1, d2
+        left1, mirrored1, paths1 = _costs(t1.first)
+        left2, mirrored2, paths2 = _costs(t2.first)
+        self.mirrored = m = mirrored1 * mirrored2 < left1 * left2
+        self.d1, self.d2 = _TreeData(t1, m, paths1), _TreeData(t2, m, paths2)
+        del paths1, paths2  # not held through the solve when unused
         self._solve()
 
     def _solve(self):

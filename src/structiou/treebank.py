@@ -5,11 +5,11 @@ alignment solver reads. For node i in postorder: ``labels[i]``;
 ``first[i]``, the index of its leftmost leaf (i itself for a leaf), so
 node j lies strictly below node i iff ``first[i] <= j < i`` (Zhang &
 Shasha's leftmost-descendant numbering); and its open time interval
-``(starts[i], ends[i])``. ``first`` is the only stored shape: ``depth``,
-each node's number of strict ancestors, is derived from it when read.
-``words`` holds the leaves' words left to right. Children are pairwise
-disjoint and ordered left to right, and an internal node's interval is
-exactly the hull of its children's.
+``(starts[i], ends[i])``. ``first`` is the only shape: children and
+preorder (one stable sort) are read off it. ``words`` holds the leaves'
+words left to right. Children are pairwise disjoint and ordered left to
+right, and an internal node's interval is exactly the hull of its
+children's.
 
 Parsing, time projection and serialization work on the arrays alone.
 ``TreeNode`` objects are a view: ``tree.nodes`` (postorder) and
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, TextIO
@@ -94,6 +93,12 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
+def _preorder(first: np.ndarray) -> np.ndarray:
+    """Postorder indices in preorder: ``first`` ascending, and each leaf
+    after the nodes whose first it is, top down (descending index)."""
+    return np.argsort(-first, kind="stable")[::-1]
+
+
 class ParseTree:
     """A parse tree's postorder arrays, with its node view built on demand."""
 
@@ -147,15 +152,6 @@ class ParseTree:
         self.ends = _frozen(ends, float)
 
     @property
-    def depth(self) -> np.ndarray:
-        """Each node's number of strict ancestors, derived from ``first``:
-        node j adds 1 from ``first[j]`` on and takes 1 off from j itself on,
-        so the running sum at i counts the nodes j with first[j] <= i < j."""
-        n = self.first.size
-        below = np.add.accumulate(np.bincount(self.first, minlength=n))
-        return _frozen(below - np.arange(1, n + 1), np.int64)
-
-    @property
     def node_count(self) -> int:
         return len(self.labels)
 
@@ -167,18 +163,15 @@ class ParseTree:
             starts, ends = self.starts.tolist(), self.ends.tolist()
             words = iter(self.words)
             nodes: list[TreeNode] = []
-            waiting: list[int] = []  # built subtrees without a parent, ascending
             for i, (label, f) in enumerate(zip(self.labels, first)):
+                # children, last first: a child's left sibling ends at its first - 1
+                kids, c = [], i - 1
+                while c >= f:
+                    kids.append(nodes[c])
+                    c = first[c] - 1
+                word = next(words) if f == i else None
                 span = OpenInterval(starts[i], ends[i])
-                if f == i:
-                    node = TreeNode(label, span, word=next(words))
-                else:
-                    k = bisect_left(waiting, f)  # i's children are the rest
-                    kids = tuple(nodes[j] for j in waiting[k:])
-                    del waiting[k:]
-                    node = TreeNode(label, span, children=kids)
-                waiting.append(i)
-                nodes.append(node)
+                nodes.append(TreeNode(label, span, tuple(reversed(kids)), word))
             self._nodes = tuple(nodes)
         return self._nodes
 
@@ -300,25 +293,18 @@ def _syntax_error(text: str, message: str, token: int) -> TreeSyntaxError:
 
 
 def serialize_bracketed(tree: ParseTree) -> str:
-    """Inverse of parse_bracketed up to whitespace normalization.
-
-    Writes the nodes in preorder, where node i comes at ``first[i] +
-    depth[i]``; a leaf closes itself and every constituent that ends
-    with it.
-    """
-    labels = tree.labels
-    first, depth = tree.first.tolist(), tree.depth.tolist()
-    preorder = [0] * len(first)
-    for i, (f, d) in enumerate(zip(first, depth)):
-        preorder[f + d] = i
+    """Inverse of parse_bracketed up to whitespace normalization: the
+    nodes in preorder, each leaf closing itself and the nodes after it in
+    postorder up to the next leaf (the next node's first leaf)."""
+    labels, n = tree.labels, tree.node_count
+    first = tree.first.tolist() + [n]
+    order = _preorder(tree.first).tolist()
     words = iter(tree.words)
     parts = []
-    for k, i in enumerate(preorder, start=1):
+    for i, after in zip(order, order[1:] + [n]):
         parts.append(f"({labels[i]}")
         if first[i] == i:
-            after = depth[preorder[k]] if k < len(preorder) else 0
-            word = next(words) or PLACEHOLDER_WORD
-            parts.append(word + ")" * (1 + depth[i] - after))
+            parts.append((next(words) or PLACEHOLDER_WORD) + ")" * (first[after] - i))
     return " ".join(parts)
 
 

@@ -8,6 +8,7 @@ from structiou.treebank import (
     parse_bracketed,
     project_to_time,
 )
+from trees import ancestors
 
 
 @pytest.fixture
@@ -57,12 +58,13 @@ def attachment_pair():
 
 
 def _tree_digest(trees, rng=None) -> str:
-    """sha256 over each tree's labels, words and array bytes, then over
-    the generator's state after the draws (when one is given)."""
+    """sha256 over each tree's labels, words and array bytes, its int64
+    strict ancestor counts among them, then over the generator's state
+    after the draws (when one is given)."""
     digest = hashlib.sha256()
     for tree in trees:
         digest.update(repr((tree.labels, tree.words)).encode())
-        for array in (tree.first, tree.depth, tree.starts, tree.ends):
+        for array in (tree.first, ancestors(tree), tree.starts, tree.ends):
             digest.update(array.dtype.str.encode() + array.tobytes())
     if rng is not None:
         digest.update(repr(rng.bit_generator.state).encode())

@@ -8,8 +8,7 @@ from structiou.align import (
     Alignment,
     MatchMode,
     PairSolver,
-    _cost,
-    _mirrored_cost,
+    _costs,
     _TreeData,
     max_weight_alignment,
 )
@@ -26,7 +25,14 @@ from structiou.treebank import (
     parse_bracketed,
     project_to_time,
 )
-from trees import left_chain_text, mirrored, right_chain_text, timed, zigzag_text
+from trees import (
+    left_chain_text,
+    mirrored,
+    right_chain_text,
+    spine_text,
+    timed,
+    zigzag_text,
+)
 
 
 def by_label(tree):
@@ -248,40 +254,51 @@ def _numbering_cases():
     yield from (zigzag_text(words) for words in range(2, 13))
     yield from (random_binary_tree(words, rng) for words in (1, 2, 5, 17, 40))
     yield from (random_timed_tree(rng, nodes) for nodes in (1, 2, 3, 8, 30, 60, 60))
+    for p in (0.1, 0.3, 0.5):
+        yield from (spine_text(words, p, rng) for words in (5, 20, 60))
 
 
 def test_mirrored_numbering_matches_an_independent_mirror():
-    """The mirrored cost, read off the postorder ``first``, is the
-    left-to-right keyroot cost of the tree rebuilt with its children
-    reversed, and the mirrored arrays are that tree's."""
+    """Each numbering's cost, read off the postorder ``first``, is the
+    other numbering's cost of the tree rebuilt with its children
+    reversed, and the mirrored arrays and path dict are that tree's
+    postorder ones."""
     for case in _numbering_cases():
         t = parse_bracketed(case) if isinstance(case, str) else case
-        flipped = _TreeData(mirrored(t))
-        assert _mirrored_cost(t.first) == _cost(flipped.paths)
-        d = _TreeData(t, mirrored=True)
+        left, right, paths = _costs(t.first)
+        flip = mirrored(t)
+        flip_left, flip_right, flip_paths = _costs(flip.first)
+        assert (left, right) == (flip_right, flip_left)
+        flipped = _TreeData(flip, False, flip_paths)
+        d = _TreeData(t, True, paths)
+        assert d.paths == flipped.paths
         assert d.first.tolist() == flipped.first.tolist()
         assert d.labels == list(flipped.labels)
         assert d.starts.tolist() == (-flipped.ends).tolist()
         assert sorted(d.rank.tolist()) == list(range(t.node_count))
 
 
-def test_depth_is_read_only_for_a_mirrored_pair(monkeypatch):
-    """A pair solved left to right reads no ``depth``; a mirrored pair
-    reads it once per tree, for the preorder index of each node."""
-    reads = []
-    depth = ParseTree.depth
-    spy = property(lambda tree: reads.append(id(tree)) or depth.fget(tree))
+def test_one_numbering_per_tree(monkeypatch):
+    """A solve and its recovery build one ``_TreeData`` per tree, in the
+    numbering solved in, whichever it is."""
+    built = []
+    init = _TreeData.__init__
+
+    def spy(self, tree, *args):
+        built.append((id(tree), bool(args and args[0])))  # args[0]: mirrored
+        init(self, tree, *args)
+
     rng = np.random.default_rng(5)
     left = parse_bracketed(left_chain_text(12))
     pairs = [_right_chain_pair(12, 3), (_timed(left, rng), _timed(left, rng))]
     pairs += [(random_timed_tree(rng, 30), random_timed_tree(rng, 30)) for _ in range(30)]
-    monkeypatch.setattr(ParseTree, "depth", spy)
+    monkeypatch.setattr(_TreeData, "__init__", spy)
     seen = []
     for t1, t2 in pairs:
-        reads.clear()
+        built.clear()
         solver = PairSolver(t1, t2, "labeled")
         solver.alignment()
-        assert reads == ([id(t1), id(t2)] if solver.mirrored else [])
+        assert built == [(id(t1), solver.mirrored), (id(t2), solver.mirrored)]
         seen.append(solver.mirrored)
     assert seen[:2] == [True, False] and len(set(seen[2:])) == 2
 

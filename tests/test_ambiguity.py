@@ -138,7 +138,6 @@ def test_strip_nested_unary_chains(text, expected):
     assert validate(stripped) == []
     walked = ParseTree(stripped.root)  # arrays derived again from the view
     assert stripped.first.tolist() == walked.first.tolist()
-    assert stripped.depth.tolist() == walked.depth.tolist()
     assert stripped.starts.tolist() == walked.starts.tolist()
 
 

@@ -943,7 +943,6 @@ class TestOracleCheck:
             assert reloaded.labels == tree.labels
             assert reloaded.words == tree.words
             assert reloaded.first.tolist() == tree.first.tolist()
-            assert reloaded.depth.tolist() == tree.depth.tolist()
             assert dump["starts"] == tree.starts.tolist()
             assert dump["ends"] == tree.ends.tolist()
 

@@ -25,7 +25,7 @@ from structiou.treebank import (
     project_to_time,
     validate,
 )
-from trees import mirrored, timed, zigzag_text
+from trees import mirrored, spine_text, timed, zigzag_text
 
 # sha256 of 20 trees drawn from each of seeds 0, 1 and 2 (see the
 # ``tree_digest`` fixture), keyed by (max_nodes, allow_gaps). Recorded
@@ -245,6 +245,14 @@ def zigzag(words):
     return timed(zigzag_text(words), np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
 
 
+def spine(words, p):
+    """A chain whose spine child switches sides with probability p per
+    level, over random word times. Its labels are X."""
+    rng = np.random.default_rng(0)
+    text = spine_text(words, p, rng)
+    return timed(text, np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
+
+
 def jittered(tree):
     return project_to_time(tree, perturb_noise(rows(tree), 0.3, sentence_rng(0)))
 
@@ -286,6 +294,9 @@ LARGE_PAIRS = {
     "right-chain-200-deleted": (lambda: chain(200, right=True), deleted, mirrored_ted),
     "zigzag-20-jittered": (lambda: zigzag(20), jittered, ted_objective),
     "zigzag-40-jittered": (lambda: zigzag(40), jittered, ted_objective),
+    "spine-30-p0.1-jittered": (lambda: spine(30, 0.1), jittered, ted_objective),
+    "spine-30-p0.3-jittered": (lambda: spine(30, 0.3), jittered, ted_objective),
+    "spine-30-p0.5-jittered": (lambda: spine(30, 0.5), jittered, ted_objective),
 }
 
 

@@ -28,7 +28,7 @@ from structiou.treebank import (
     serialize_bracketed,
     validate,
 )
-from trees import mirrored, retimed, timed
+from trees import ancestors, mirrored, retimed, timed
 
 MAX_NODES = 20
 
@@ -199,8 +199,9 @@ def test_valid_tree_overlaps_exactly_along_ancestry(s):
 
 
 # Two routes to the same tree: a walk over a root, and parsing its text
-# then projecting onto its leaves' times.
-ARRAYS = ("labels", "first", "depth", "starts", "ends", "words")
+# then projecting onto its leaves' times. Each tree's strict ancestor
+# counts are compared as well, by ``ancestors``.
+ARRAYS = ("labels", "first", "starts", "ends", "words")
 
 
 def gap_free_tree(seed: int) -> ParseTree:
@@ -215,6 +216,7 @@ def reparsed(t: ParseTree) -> ParseTree:
 
 
 def assert_same_arrays(a: ParseTree, b: ParseTree) -> None:
+    assert ancestors(a).tobytes() == ancestors(b).tobytes()
     for name in ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):

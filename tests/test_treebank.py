@@ -27,6 +27,7 @@ from structiou.treebank import (
     validate,
     write_boundary_file,
 )
+from trees import left_chain_text, right_chain_text, written, zigzag_text
 
 
 # input -> (message, offset of the token it names)
@@ -132,6 +133,16 @@ class TestSerialize:
             tree = random_timed_tree(rng, 12)
             text = serialize_bracketed(tree)
             assert serialize_bracketed(parse_bracketed(text)) == text
+
+    @pytest.mark.parametrize("shape, words", [
+        (right_chain_text, 1200), (left_chain_text, 1200),
+        *((zigzag_text, words) for words in (2, 3, 8, 1200)),
+    ])
+    def test_deep_trees_match_an_independent_writer(self, shape, words):
+        # deeper than the recursion limit; TestPostorder covers the rest
+        text = shape(words)
+        tree = parse_bracketed(text)
+        assert serialize_bracketed(tree) == written(tree) == text
 
 
 def test_read_tree_file_skips_comments_and_blanks():
@@ -348,20 +359,20 @@ class TestProjection:
 class TestPostorder:
     @staticmethod
     def check(tree):
-        nodes, first, depth = tree.nodes, tree.first, tree.depth
+        nodes, first = tree.nodes, tree.first
         assert sorted(map(id, nodes)) == sorted(map(id, iter_nodes(tree.root)))
         index = {id(n): i for i, n in enumerate(nodes)}
 
-        def walk(node, ancestors):
+        def walk(node):
             i = index[id(node)]
             below = {id(d) for d in iter_nodes(node)} - {id(node)}
             assert {id(d) for d in nodes[first[i] : i]} == below
-            assert depth[i] == ancestors
             for c in node.children:
-                walk(c, ancestors + 1)
+                walk(c)
 
-        walk(tree.root, 0)
-        assert depth.dtype == np.int64 and not depth.flags.writeable
+        walk(tree.root)
+        assert first.dtype == np.int64 and not first.flags.writeable
+        assert serialize_bracketed(tree) == written(tree)
 
     def test_random_trees(self):
         rng = np.random.default_rng(19)
@@ -373,8 +384,8 @@ class TestPostorder:
         text = "".join(f"(X (W w{k}) " for k in range(words - 1))
         tree = parse_bracketed(text + f"(W w{words - 1})" + ")" * (words - 1))
         self.check(tree)
-        first, depth = tree.first, tree.depth
-        assert first[-1] == 0 and max(depth) == words - 1
+        # the words, then the X nodes from the innermost up
+        assert tree.first.tolist() == [*range(words), *range(words - 2, -1, -1)]
 
     @pytest.mark.parametrize("delta", [0.3, 1.0])
     @pytest.mark.parametrize("perturb", [perturb_insert, perturb_delete])
@@ -403,6 +414,7 @@ class TestPostorder:
         from structiou.treebank import ParseTree, TreeNode
 
         self.check(parse_bracketed("(X w)"))
+        self.check(parse_bracketed("(A (B (C w)))"))
         span = OpenInterval(0, 2)
         chain = TreeNode("A", span, children=(TreeNode("B", span, children=(
             TreeNode("C", OpenInterval(0, 1), word="x"),
@@ -412,7 +424,7 @@ class TestPostorder:
         )),))
         tree = ParseTree(chain)
         self.check(tree)
-        assert tree.depth.tolist() == [2, 3, 2, 1, 0]
+        assert tree.first.tolist() == [0, 1, 1, 0, 0]
 
 
 class TestDeepChain:

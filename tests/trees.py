@@ -6,8 +6,11 @@ transforms below rebuild a tree from its node view instead: they move
 or reflect every span as given, which keeps valid trees valid.
 """
 
+import numpy as np
+
 from structiou.intervals import OpenInterval
 from structiou.treebank import (
+    PLACEHOLDER_WORD,
     BoundaryRow,
     BoundaryTable,
     ParseTree,
@@ -51,6 +54,47 @@ def zigzag_text(words: int) -> str:
     for k in range(1, words):
         text = f"(X {text} (X w{k}))" if k % 2 else f"(X (X w{k}) {text})"
     return text
+
+
+def ancestors(t: ParseTree) -> np.ndarray:
+    """Each node's number of strict ancestors, counted down the node view,
+    as int64 in postorder."""
+    index = {id(node): i for i, node in enumerate(t.nodes)}
+    out = np.zeros(t.node_count, np.int64)
+    stack = [(t.root, 0)]
+    while stack:
+        node, above = stack.pop()
+        out[index[id(node)]] = above
+        stack.extend((c, above + 1) for c in node.children)
+    return out
+
+
+def spine_text(words: int, p: float, rng) -> str:
+    """A chain whose spine child starts on the right and switches sides
+    with probability p at each level up. Its labels are X."""
+    text, right = "(X w0)", True
+    for k in range(1, words):
+        text = f"(X (X w{k}) {text})" if right else f"(X {text} (X w{k}))"
+        right ^= bool(rng.random() < p)
+    return text
+
+
+def written(t: ParseTree) -> str:
+    """The bracketed text of the node view, written by a preorder walk
+    that pushes each node's closing bracket and its children."""
+    out, stack = [], [t.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf:
+            out.append(f"({item.label} {item.word or PLACEHOLDER_WORD})")
+        else:
+            out.append(f"({item.label} ")
+            stack.append(")")
+            for k, child in enumerate(reversed(item.children)):
+                stack.extend([" ", child] if k else [child])
+    return "".join(out)
 
 
 def retimed(t: ParseTree, shift: float, scale: float) -> ParseTree:
