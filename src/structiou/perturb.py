@@ -136,7 +136,7 @@ def perturb_insert(
             continue
         point = min(max(point, lo), hi)
         left, right = _split_word_text(row.word)
-        left_word, right_word = _split_word_text(tree.words[i] or "")
+        left_word, right_word = _split_word_text(tree.words[i])
         replaced[i] = (
             (BoundaryRow(left, row.start, point), left_word),
             (BoundaryRow(right, point, row.end), right_word),
@@ -176,7 +176,7 @@ def perturb_delete(
         span = table.rows[a : b + 1]
         merged[a, b] = (
             BoundaryRow("".join(r.word for r in span), span[0].start, span[-1].end),
-            "".join(w or "" for w in tree.words[a : b + 1]),
+            "".join(tree.words[a : b + 1]),
         )
     return _regrouped(tree, table, replaced, merged)
 

@@ -7,9 +7,9 @@ node j lies strictly below node i iff ``first[i] <= j < i`` (Zhang &
 Shasha's leftmost-descendant numbering); and its open time interval
 ``(starts[i], ends[i])``. ``first`` is the only shape: children and
 preorder (one stable sort) are read off it. ``words`` holds the leaves'
-words left to right. Children are pairwise disjoint and ordered left to
-right, and an internal node's interval is exactly the hull of its
-children's.
+words left to right, one string per leaf. Children are pairwise disjoint
+and ordered left to right, and an internal node's interval is exactly
+the hull of its children's.
 
 Parsing, time projection and serialization work on the arrays alone.
 ``TreeNode`` objects are a view: ``tree.nodes`` (postorder) and
@@ -17,14 +17,14 @@ Parsing, time projection and serialization work on the arrays alone.
 them, so each node is the same object on every access. A leaf
 (preterminal in parsing terms) carries its word as a payload; the
 payload is not a node. Node equality is identity, so the same shape
-built twice gives distinct nodes, which is what alignment and
-validation need. Node spans are derived from the leaves' rows in one
-place, ``ParseTree._of``, which parsing, projection and the
-perturbations build through. A tree can also be built from a root node:
-one postorder walk derives its arrays, keeping every span as given, and
-that root is its view. Nothing in this package builds trees that way;
-it is the only way to build a tree that breaks the hull rule, which
-``validate`` reports.
+built twice gives distinct nodes, which is what alignment needs. Node
+spans are derived from the leaves' rows in one place, ``ParseTree._of``,
+which parsing, projection and the perturbations build through. A tree
+can also be built from a root node: one postorder walk derives its
+arrays, keeping every span as given, and that root is its view. It
+refuses a leaf without a word and an internal node with one. Nothing in
+this package builds trees that way; it is the only way to build a tree
+that breaks the hull rule, which ``validate`` reports from the arrays.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "leaves",
 ]
 
-PLACEHOLDER_WORD = "<W>"
 # The longest boundary table scored, in seconds: an IoU union adds two
 # spans, which must not overflow to infinity.
 MAX_SPAN = sys.float_info.max / 2
@@ -108,16 +107,23 @@ class ParseTree:
     first: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    words: tuple[str | None, ...]
+    words: tuple[str, ...]
 
     def __init__(self, root: TreeNode):
-        """The tree under ``root``, which becomes its view."""
+        """The tree under ``root``, which becomes its view. Spans are kept
+        as given; a leaf without a word or an internal node with one is a
+        ``DataError``."""
         nodes: list[TreeNode] = []
         first: list[int] = []
         # (node, index of its first descendant, or -1 before its children)
         stack = [(root, -1)]
         while stack:
             node, lo = stack.pop()
+            if (node.word is None) == node.is_leaf:
+                raise DataError(
+                    f"leaf {node.label} has no word payload" if node.is_leaf
+                    else f"internal node {node.label} carries a word"
+                )
             if lo < 0 and node.children:
                 stack.append((node, len(nodes)))
                 stack.extend((c, -1) for c in reversed(node.children))
@@ -304,7 +310,7 @@ def serialize_bracketed(tree: ParseTree) -> str:
     for i, after in zip(order, order[1:] + [n]):
         parts.append(f"({labels[i]}")
         if first[i] == i:
-            parts.append((next(words) or PLACEHOLDER_WORD) + ")" * (first[after] - i))
+            parts.append(next(words) + ")" * (first[after] - i))
     return " ".join(parts)
 
 
@@ -461,40 +467,29 @@ def _respanned(tree: ParseTree, starts: np.ndarray, ends: np.ndarray) -> ParseTr
 def validate(tree: ParseTree) -> list[str]:
     """Return a list of invariant violations; empty means the tree is valid.
 
-    Trees parsed, projected or perturbed are valid by construction, since
-    their node spans are derived from their leaf rows; only a tree built
-    from a root node, ``ParseTree(root)``, keeps spans that can break
-    these rules. Checks, per node: a positive interval, a word payload
-    exactly on leaves, consecutive children ordered by start and
-    disjoint, and an internal interval equal to its children's hull.
-    Together these imply that two nodes overlap in time iff one is an
-    ancestor of the other. A node lies inside each of its ancestors,
-    since each interval is its children's hull. Two unrelated nodes lie
-    inside two distinct children of their lowest common ancestor, and
-    those children are disjoint, since consecutive ones are and every
-    interval has positive length. So no check runs over node pairs. The
-    ordering check is implied too (a disjoint pair of positive intervals
-    is ordered), but it names swapped children.
+    Only a tree built from a root node, ``ParseTree(root)``, keeps spans
+    that can break these rules; every other builder derives node spans
+    from leaf rows. Every interval must be positive, each leaf must end
+    no later than the next one starts, and every node must span its
+    leaves: from its first leaf's start to the end of its last leaf, the
+    last leaf at or before it in postorder. Then two nodes overlap in
+    time iff one is an ancestor of the other.
     """
-    problems: list[str] = []
-    for n in tree.nodes:
-        if n.end - n.start <= 0:
-            problems.append(f"degenerate interval on {n.label}")
-        if n.is_leaf and n.word is None:
-            problems.append(f"leaf {n.label} has no word payload")
-        if not n.is_leaf and n.word is not None:
-            problems.append(f"internal node {n.label} carries a word")
-        if n.children:
-            for a, b in zip(n.children, n.children[1:]):
-                if a.start >= b.start:
-                    problems.append(f"children of {n.label} not ordered by start")
-                if a.end > b.start:
-                    problems.append(f"children of {n.label} overlap")
-            lo = min(c.start for c in n.children)
-            hi = max(c.end for c in n.children)
-            if (n.start, n.end) != (lo, hi):
-                problems.append(
-                    f"hull mismatch on {n.label}: ({n.start}, {n.end}) vs "
-                    f"children hull ({lo}, {hi})"
-                )
+    starts, ends, first, words = tree.starts, tree.ends, tree.first, tree.words
+    labels, index = tree.labels, np.arange(tree.node_count)
+    leaf = first == index
+    last = np.maximum.accumulate(np.where(leaf, index, 0))
+    problems = [f"degenerate interval on {labels[i]}"
+                for i in np.flatnonzero(~(ends - starts > 0))]
+    problems += [
+        f"words {k} {words[k]!r} and {k + 1} {words[k + 1]!r} overlap or are "
+        "out of order"
+        for k in np.flatnonzero(ends[leaf][:-1] > starts[leaf][1:]).tolist()
+    ]
+    lo, hi = starts[first], ends[last]
+    problems += [
+        f"hull mismatch on {labels[i]}: ({starts[i]}, {ends[i]}) vs its leaves' "
+        f"span ({lo[i]}, {hi[i]})"
+        for i in np.flatnonzero((starts != lo) | (ends != hi)).tolist()
+    ]
     return problems

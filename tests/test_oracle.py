@@ -176,13 +176,21 @@ class TestAlignmentProblems:
 
 def test_solver_agrees_with_oracle():
     rng = np.random.default_rng(1234)
-    for trial in range(120):
-        t1 = random_timed_tree(rng, 8)
-        t2 = random_timed_tree(rng, 8)
+    pairs = [(random_timed_tree(rng, 8), random_timed_tree(rng, 8)) for _ in range(120)]
+    # near-identical pairs: a gap-free tree against its perturbed copies
+    for seed in range(30):
+        t = random_timed_tree(rng, 8, allow_gaps=False)
+        pairs += [(t, copy(t, seed)) for copy in (jittered, inserted, deleted)]
+    # deep small pairs: chains and zig-zags against jittered copies
+    for words in range(3, 7):
+        for t in (chain(words, right=True), chain(words, right=False), zigzag(words)):
+            pairs += [(t, jittered(t, seed)) for seed in range(4)]
+    for trial, (t1, t2) in enumerate(pairs):
         mode = "labeled" if trial % 2 else "unlabeled"
         dp = max_weight_alignment(t1, t2, mode)
         ref = oracle_alignment(t1, t2, mode)
         assert dp.objective == pytest.approx(ref.objective, abs=1e-9)
+        assert alignment_problems(t1, t2, dp, mode) == []
 
 
 def test_crossing_pairs_cannot_both_overlap():
@@ -253,16 +261,16 @@ def spine(words, p):
     return timed(text, np.cumsum(rng.uniform(0.1, 1.0, words + 1)))
 
 
-def jittered(tree):
-    return project_to_time(tree, perturb_noise(rows(tree), 0.3, sentence_rng(0)))
+def jittered(tree, seed=0):
+    return project_to_time(tree, perturb_noise(rows(tree), 0.3, sentence_rng(seed)))
 
 
-def inserted(tree):
-    return perturb_insert(tree, rows(tree), 0.3, sentence_rng(0))[0]
+def inserted(tree, seed=0):
+    return perturb_insert(tree, rows(tree), 0.3, sentence_rng(seed))[0]
 
 
-def deleted(tree):
-    return perturb_delete(tree, rows(tree), 0.3, sentence_rng(0))[0]
+def deleted(tree, seed=0):
+    return perturb_delete(tree, rows(tree), 0.3, sentence_rng(seed))[0]
 
 
 def binary_over(tree):

@@ -28,7 +28,7 @@ from structiou.treebank import (
     serialize_bracketed,
     validate,
 )
-from trees import ancestors, mirrored, retimed, timed
+from trees import ancestors, mirrored, node_problems, retimed, timed
 
 MAX_NODES = 20
 
@@ -164,21 +164,22 @@ def test_objective_equals_ted(pair, mode):
     assert PairSolver(t1, t2, mode).objective == pytest.approx(expected, abs=1e-9)
 
 
-def corrupted(seed: int) -> ParseTree:
-    """A random tree with one end of some intervals moved to another of
-    its time points, and some children reversed; often invalid, often not."""
+def corrupted(seed: int, move: float, reverse: float) -> ParseTree:
+    """A random tree with one end of some intervals (each at rate move)
+    moved to another of its time points, and some children (each
+    node's at rate reverse) reversed; often invalid, often not."""
     rng = np.random.default_rng(seed)
     t = random_timed_tree(rng, MAX_NODES)
     points = np.unique(np.concatenate([t.starts, t.ends])).tolist()
 
     def rebuild(node: TreeNode) -> TreeNode:
         s, e = node.start, node.end
-        if rng.random() < 0.2:
+        if rng.random() < move:
             p = points[int(rng.integers(len(points)))]
             s, e = (s, p) if p > s else (p, e)
         span = OpenInterval(s, e)
         kids = tuple(rebuild(c) for c in node.children)
-        if rng.random() < 0.1:
+        if rng.random() < reverse:
             kids = kids[::-1]
         return TreeNode(node.label, span, children=kids, word=node.word)
 
@@ -186,11 +187,14 @@ def corrupted(seed: int) -> ParseTree:
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(seeds)
-def test_valid_tree_overlaps_exactly_along_ancestry(s):
-    # validate's per-node rules imply this; it checks no node pairs itself
-    t = corrupted(s)
-    if validate(t):
+@given(seeds, st.floats(0.0, 0.5), st.floats(0.0, 0.3))
+def test_valid_tree_overlaps_exactly_along_ancestry(s, move, reverse):
+    # validate's array rules give the per-node rules' verdict, and a valid
+    # tree overlaps only along ancestry, though neither checks node pairs
+    t = corrupted(s, move, reverse)
+    problems = validate(t)
+    assert bool(problems) == bool(node_problems(t))
+    if problems:
         return
     n = np.arange(t.node_count)
     below = (t.first[:, None] <= n) & (n < n[:, None])  # [i, j]: j under i

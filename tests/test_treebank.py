@@ -9,6 +9,7 @@ from structiou.ambiguity import (
     strip_single_word_phrases,
 )
 from structiou.errors import DataError, TreeSyntaxError
+from structiou.intervals import OpenInterval
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import random_timed_tree
 from structiou.perturb import perturb_delete, perturb_insert, sentence_rng
@@ -16,6 +17,8 @@ from structiou.treebank import (
     MAX_SPAN,
     BoundaryRow,
     BoundaryTable,
+    ParseTree,
+    TreeNode,
     compact_silence,
     iter_nodes,
     leaves,
@@ -27,7 +30,13 @@ from structiou.treebank import (
     validate,
     write_boundary_file,
 )
-from trees import left_chain_text, right_chain_text, written, zigzag_text
+from trees import (
+    left_chain_text,
+    node_problems,
+    right_chain_text,
+    written,
+    zigzag_text,
+)
 
 
 # input -> (message, offset of the token it names)
@@ -410,9 +419,6 @@ class TestPostorder:
             self.check(strip_single_word_phrases(tree))
 
     def test_one_node_and_unary_chain(self):
-        from structiou.intervals import OpenInterval
-        from structiou.treebank import ParseTree, TreeNode
-
         self.check(parse_bracketed("(X w)"))
         self.check(parse_bracketed("(A (B (C w)))"))
         span = OpenInterval(0, 2)
@@ -463,26 +469,30 @@ class TestValidate:
         assert validate(gold_timed) == []
         assert validate(pred_structure_error) == []
 
-    def test_overlapping_children(self):
-        from structiou.intervals import OpenInterval
-        from structiou.treebank import ParseTree, TreeNode
+    @staticmethod
+    def pair(a: tuple, b: tuple, root=(0, 3)) -> ParseTree:
+        """A over leaves B and C with the spans given, from nodes."""
+        return ParseTree(TreeNode("A", OpenInterval(*root), children=(
+            TreeNode("B", OpenInterval(*a), word="x"),
+            TreeNode("C", OpenInterval(*b), word="y"),
+        )))
 
-        bad = ParseTree(
-            TreeNode(
-                "A",
-                OpenInterval(0, 3),
-                children=(
-                    TreeNode("B", OpenInterval(0, 2), word="x"),
-                    TreeNode("C", OpenInterval(1, 3), word="y"),
-                ),
-            )
-        )
-        assert any("overlap" in v for v in validate(bad))
+    def test_overlapping_children(self):
+        bad = self.pair((0, 2), (1, 3))
+        assert validate(bad) == ["words 0 'x' and 1 'y' overlap or are out of order"]
+
+    def test_reversed_children(self):
+        # (A (C y) (B x)) with its children reversed: the per-node rules
+        # name the swapped children; on the arrays the leaves are out of
+        # order and A does not span them
+        bad = self.pair((1, 2), (0, 1), root=(0, 2))
+        assert validate(bad) == [
+            "words 0 'x' and 1 'y' overlap or are out of order",
+            "hull mismatch on A: (0.0, 2.0) vs its leaves' span (1.0, 1.0)",
+        ]
+        assert "children of A not ordered by start" in node_problems(bad)
 
     def test_hull_mismatch(self):
-        from structiou.intervals import OpenInterval
-        from structiou.treebank import ParseTree, TreeNode
-
         bad = ParseTree(
             TreeNode(
                 "A",
@@ -490,12 +500,36 @@ class TestValidate:
                 children=(TreeNode("B", OpenInterval(0, 2), word="x"),),
             )
         )
-        assert any("hull mismatch" in v for v in validate(bad))
+        assert validate(bad) == [
+            "hull mismatch on A: (0.0, 1.0) vs its leaves' span (0.0, 2.0)"
+        ]
 
     def test_random_trees_valid(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            assert validate(random_timed_tree(rng, 10)) == []
+            tree = random_timed_tree(rng, 10)
+            assert validate(tree) == []
+            assert tree._nodes is None  # validate builds no node view
+
+    # The word payloads are checked where a tree is built from nodes.
+
+    def test_leaf_without_word_is_refused(self):
+        root = TreeNode("S", OpenInterval(0, 2), children=(
+            TreeNode("A", OpenInterval(0, 1)),
+            TreeNode("B", OpenInterval(1, 2), word="b"),
+        ))
+        with pytest.raises(DataError) as err:
+            ParseTree(root)
+        assert str(err.value) == "leaf A has no word payload"
+
+    def test_internal_word_is_refused(self):
+        root = TreeNode("S", OpenInterval(0, 2), word="s", children=(
+            TreeNode("A", OpenInterval(0, 1), word="a"),
+            TreeNode("B", OpenInterval(1, 2), word="b"),
+        ))
+        with pytest.raises(DataError) as err:
+            ParseTree(root)
+        assert str(err.value) == "internal node S carries a word"
 
 
 class TestContainmentProperties:

@@ -4,13 +4,14 @@ Valid trees are written as bracketed text and projected onto their word
 times, so every node span comes from the library's own hull rule. The
 transforms below rebuild a tree from its node view instead: they move
 or reflect every span as given, which keeps valid trees valid.
+``node_problems`` checks a tree by per-node rules, as a reference for
+``validate``.
 """
 
 import numpy as np
 
 from structiou.intervals import OpenInterval
 from structiou.treebank import (
-    PLACEHOLDER_WORD,
     BoundaryRow,
     BoundaryTable,
     ParseTree,
@@ -88,13 +89,36 @@ def written(t: ParseTree) -> str:
         if isinstance(item, str):
             out.append(item)
         elif item.is_leaf:
-            out.append(f"({item.label} {item.word or PLACEHOLDER_WORD})")
+            out.append(f"({item.label} {item.word})")
         else:
             out.append(f"({item.label} ")
             stack.append(")")
             for k, child in enumerate(reversed(item.children)):
                 stack.extend([" ", child] if k else [child])
     return "".join(out)
+
+
+def node_problems(t: ParseTree) -> list[str]:
+    """The invariants a tree breaks, by per-node rules on its node view: a
+    positive interval, consecutive children ordered by start and
+    disjoint, and an internal interval equal to its children's hull. An
+    independent reference for the verdict of ``validate``, which checks
+    the arrays by other rules."""
+    problems = []
+    for n in t.nodes:
+        if n.end - n.start <= 0:
+            problems.append(f"degenerate interval on {n.label}")
+        for a, b in zip(n.children, n.children[1:]):
+            if a.start >= b.start:
+                problems.append(f"children of {n.label} not ordered by start")
+            if a.end > b.start:
+                problems.append(f"children of {n.label} overlap")
+        if n.children:
+            lo = min(c.start for c in n.children)
+            hi = max(c.end for c in n.children)
+            if (n.start, n.end) != (lo, hi):
+                problems.append(f"hull mismatch on {n.label}")
+    return problems
 
 
 def retimed(t: ParseTree, shift: float, scale: float) -> ParseTree:
