@@ -6,7 +6,6 @@ from .ambiguity import (
     ambiguity_report,
     enumerate_plausible,
     random_binary_tree,
-    template_words,
 )
 from .intervals import OpenInterval, iou
 from .metric import CorpusScore, SentenceScore, struct_iou_corpus, struct_iou_sentence
@@ -24,7 +23,7 @@ from .perturb import (
     perturb_noise,
     sentence_rng,
 )
-from .stats import GroupRecord, GroupedScores, group_sample, spearman
+from .stats import group_sample, spearman
 from .treebank import (
     BoundaryRow,
     BoundaryTable,

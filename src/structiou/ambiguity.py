@@ -21,7 +21,7 @@ scoring.
 
 The ground truth stands in for a random draw from the plausible family
 and defaults to a fixed mid-family parse for the published table's
-template size (see default_gt_index); pass gt_index to override.
+template size (see _CALIBRATED_GT_INDEX); pass gt_index to override.
 """
 
 from __future__ import annotations
@@ -36,22 +36,12 @@ from .parseval import parseval_f1
 from .treebank import ParseTree, parse_bracketed
 
 __all__ = [
-    "template_words",
     "enumerate_plausible",
     "random_binary_tree",
     "strip_single_word_phrases",
-    "default_gt_index",
     "ambiguity_report",
     "AmbiguityReport",
 ]
-
-
-def template_words(n: int) -> list[str]:
-    """The 2n+1 tokens of N (P N){n}."""
-    words = ["N"]
-    for _ in range(n):
-        words.extend(["P", "N"])
-    return words
 
 
 def enumerate_plausible(n: int) -> list[ParseTree]:
@@ -118,10 +108,6 @@ def strip_single_word_phrases(tree: ParseTree) -> ParseTree:
 _CALIBRATED_GT_INDEX = {8: 150}
 
 
-def default_gt_index(n: int) -> int:
-    return _CALIBRATED_GT_INDEX.get(n, 0)
-
-
 @dataclass(frozen=True)
 class AmbiguityReport:
     n: int
@@ -142,41 +128,33 @@ def ambiguity_report(
         raise UsageError("samples must be at least 1")
     family = enumerate_plausible(n)
     if gt_index is None:
-        gt_index = default_gt_index(n)
+        gt_index = _CALIBRATED_GT_INDEX.get(n, 0)
     if not 0 <= gt_index < len(family):
         raise UsageError(
             f"gt-index {gt_index} out of range for {len(family)} plausible trees"
         )
     truth = strip_single_word_phrases(family[gt_index])
-    word_count = 2 * n + 1
+
+    def scores(tree: ParseTree) -> tuple[float, float]:
+        """Bracket F1 and Struct-IoU of the stripped tree against the truth."""
+        tree = strip_single_word_phrases(tree)
+        return (parseval_f1(truth, tree, "unlabeled").f1,
+                struct_iou_sentence(truth, tree, "unlabeled").value)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    f1_sum = 0.0
-    iou_sum = 0.0
-    for _ in range(samples):
-        sample = strip_single_word_phrases(random_binary_tree(word_count, rng))
-        f1_sum += parseval_f1(truth, sample, "unlabeled").f1
-        iou_sum += struct_iou_sentence(truth, sample, "unlabeled").value
-
-    f1_low = 100.0
-    iou_low = 1.0
-    for i, other in enumerate(family):
-        if i == gt_index:
-            continue
-        other = strip_single_word_phrases(other)
-        f1_low = min(f1_low, parseval_f1(truth, other, "unlabeled").f1)
-        iou_low = min(iou_low, struct_iou_sentence(truth, other, "unlabeled").value)
-    if len(family) == 1:
-        f1_low = float("nan")
-        iou_low = float("nan")
+    f1s, ious = zip(*(scores(random_binary_tree(2 * n + 1, rng))
+                      for _ in range(samples)))
+    rivals = [scores(other) for i, other in enumerate(family) if i != gt_index]
+    f1_low, iou_low = (map(min, zip(*rivals)) if rivals
+                       else (float("nan"), float("nan")))
 
     return AmbiguityReport(
         n=n,
         samples=samples,
         seed=seed,
         gt_index=gt_index,
-        parseval_random_mean=f1_sum / samples,
-        struct_iou_random_mean=100.0 * iou_sum / samples,
+        parseval_random_mean=sum(f1s) / samples,
+        struct_iou_random_mean=100.0 * sum(ious) / samples,
         parseval_plausible_lowest=f1_low,
         struct_iou_plausible_lowest=100.0 * iou_low,
     )

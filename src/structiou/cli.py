@@ -44,7 +44,7 @@ from .oracle import (
 )
 from .parseval import parseval_f1, score_from_counts
 from .perturb import MODES, PerturbSpec, apply_perturbation, sentence_rng
-from .stats import GroupRecord, group_sample, spearman
+from .stats import group_sample, spearman
 from .treebank import (
     BoundaryTable,
     ParseTree,
@@ -379,20 +379,17 @@ def cmd_correlate(args) -> int:
                 f"{path}: {empty} sentences have zero weight (no brackets), "
                 f"so a group of {args.group_size} can have nothing to average"
             )
-    records = [
-        GroupRecord(a[0], a[1], b[0], b[1]) for a, b in zip(rec_a, rec_b)
-    ]
-    grouped = group_sample(records, args.group_size, args.seed, args.groups)
-    rho = spearman(*zip(*grouped.groups))
-    degenerate = grouped.degenerate()
+    grouped = group_sample(rec_a, rec_b, args.group_size, args.seed, args.groups)
+    rho = spearman(*zip(*grouped))
+    degenerate = any(len(set(values)) < 2 for values in zip(*grouped))
     if degenerate:
         _print_error("degenerate grouping: a metric is constant across groups")
     rows = [
         {"group": k, "metric_a": a, "metric_b": b}
-        for k, (a, b) in enumerate(grouped.groups)
+        for k, (a, b) in enumerate(grouped)
     ]
     payload = {
-        "groups": [{"metric_a": a, "metric_b": b} for a, b in grouped.groups],
+        "groups": [{"metric_a": a, "metric_b": b} for a, b in grouped],
         "spearman": rho,
         "degenerate": degenerate,
     }

@@ -1,7 +1,7 @@
 """Exhaustive alignment solver for small trees, used to audit the DP.
 
-Branch and bound over candidate node pairs sorted by weight, with the
-sum of remaining weights as the (admissible) bound. A hard guard
+Branch and bound over candidate node pairs sorted by weight, bounded by
+either tree's sum of its nodes' heaviest remaining pairs. A hard guard
 rejects trees of more than MAX_PAIR_PRODUCT node pairs.
 
 Two matched pairs must use distinct nodes and have the same ancestry in
@@ -129,7 +129,17 @@ def oracle_alignment(
     if m == 0:
         return Alignment(pairs=(), objective=0.0)
     compat = _compatible(t1, t2, rows, cols)
-    suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+    # A node is matched at most once, so pairs pos.. add at most, in each
+    # tree, the sum of each node's heaviest pair from pos on (going back,
+    # a pair replaces its node's best), plus 1e-9 of all weight for rounding.
+    bound = np.full(m, np.inf)
+    for nodes in (rows, cols):
+        best, total = {}, 0.0
+        for pos in range(m - 1, -1, -1):
+            total += w[pos] - best.get(nodes[pos], 0.0)
+            best[nodes[pos]] = w[pos]
+            bound[pos] = min(bound[pos], total)
+    bound += 1e-9 * w.sum()
 
     best_val = 0.0
     best_set: list[int] = []
@@ -140,7 +150,7 @@ def oracle_alignment(
         if value > best_val:
             best_val = value
             best_set = list(chosen)
-        if pos == m or value + suffix[pos] <= best_val:
+        if pos == m or value + bound[pos] <= best_val:
             return
         if all(compat[pos, b] for b in chosen):
             chosen.append(pos)

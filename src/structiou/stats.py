@@ -3,40 +3,17 @@
 The grouping protocol aggregates seeded random subsets of sentences
 with corpus-style aggregation and correlates the two metrics across
 groups. Both supported aggregations (node-count-weighted Struct-IoU and
-micro-averaged F1) are ratios of sums, so a per-sentence record carries
-one numerator/denominator pair per metric.
+micro-averaged F1) are ratios of sums, so each metric gives one
+(numerator, denominator) tuple per sentence.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["GroupRecord", "GroupedScores", "spearman", "group_sample"]
-
-
-@dataclass(frozen=True)
-class GroupRecord:
-    """Per-sentence contributions to the two corpus aggregates."""
-
-    a_num: float
-    a_den: float
-    b_num: float
-    b_den: float
-
-
-@dataclass(frozen=True)
-class GroupedScores:
-    groups: tuple[tuple[float, float], ...]
-
-    def degenerate(self) -> bool:
-        """True when either metric is constant across groups."""
-        a = [g[0] for g in self.groups]
-        b = [g[1] for g in self.groups]
-        return len(set(a)) < 2 or len(set(b)) < 2
+__all__ = ["spearman", "group_sample"]
 
 
 def _average_ranks(xs: np.ndarray) -> np.ndarray:
@@ -69,32 +46,36 @@ def spearman(xs: list[float], ys: list[float]) -> float:
 
 
 def group_sample(
-    per_sentence: list[GroupRecord],
+    a: list[tuple[float, float]],
+    b: list[tuple[float, float]],
     group_size: int,
     seed: int,
     groups: int,
-) -> GroupedScores:
-    """Aggregate seeded random sentence groups.
+) -> list[tuple[float, float]]:
+    """The (a, b) aggregates of seeded random sentence groups.
 
-    Sentences are drawn without replacement within a group and
-    independently (so with replacement) across groups.
+    ``a`` and ``b`` hold each metric's per-sentence (numerator,
+    denominator) tuples. Sentences are drawn without replacement within
+    a group and independently (so with replacement) across groups.
     """
-    if not per_sentence:
+    if len(a) != len(b):
+        raise UsageError(f"length mismatch: {len(a)} vs {len(b)}")
+    if not a:
         raise UsageError("empty per-sentence record list")
     if group_size < 1:
         raise UsageError("group_size must be at least 1")
-    if group_size > len(per_sentence):
+    if group_size > len(a):
         raise UsageError(
-            f"group_size {group_size} exceeds corpus size {len(per_sentence)}"
+            f"group_size {group_size} exceeds corpus size {len(a)}"
         )
     if groups < 1:
         raise UsageError("need at least one group")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for _ in range(groups):
-        idx = rng.choice(len(per_sentence), size=group_size, replace=False)
-        chosen = [per_sentence[i] for i in idx]
-        a = sum(r.a_num for r in chosen) / sum(r.a_den for r in chosen)
-        b = sum(r.b_num for r in chosen) / sum(r.b_den for r in chosen)
-        out.append((a, b))
-    return GroupedScores(groups=tuple(out))
+        idx = rng.choice(len(a), size=group_size, replace=False)
+        out.append(tuple(
+            sum(recs[i][0] for i in idx) / sum(recs[i][1] for i in idx)
+            for recs in (a, b)
+        ))
+    return out

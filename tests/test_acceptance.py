@@ -16,13 +16,12 @@ from structiou.ambiguity import (
     enumerate_plausible,
     random_binary_tree,
     strip_single_word_phrases,
-    template_words,
 )
 from structiou.intervals import iou
 from structiou.metric import struct_iou_sentence
 from structiou.oracle import oracle_alignment, random_timed_tree
 from structiou.perturb import PerturbSpec, apply_perturbation, sentence_rng
-from structiou.stats import GroupRecord, group_sample, spearman
+from structiou.stats import group_sample, spearman
 from structiou.treebank import (
     BoundaryRow,
     BoundaryTable,
@@ -164,7 +163,7 @@ def test_criterion_4_synthetic_ambiguity_table():
     # the solver scores at least one of them at exactly words + 2. The
     # cell is therefore 2 * (words + 2) / (2 * nodes) = 19/33 for any
     # ground truth, the calibrated default included.
-    words = len(template_words(n))
+    words = 2 * n + 1
     nodes = 2 * words - 1
     lowest = 100.0 * 2 * (words + 2) / (2 * nodes)
 
@@ -336,15 +335,15 @@ def test_criterion_7_quartic_scaling_bound():
 def test_criterion_8_correlation_protocol_exact_extremes(tmp_path):
     """Self- and anti-correlated inputs give rho of exactly +/-1."""
     values = [float((i * 13) % 29) + i * 1e-3 for i in range(40)]
-    records_self = [GroupRecord(v, 1.0, v, 1.0) for v in values]
-    records_anti = [GroupRecord(v, 1.0, -v, 1.0) for v in values]
-    grouped_self = group_sample(records_self, 8, seed=5, groups=60)
-    grouped_anti = group_sample(records_anti, 8, seed=5, groups=60)
+    records = [(v, 1.0) for v in values]
+    records_anti = [(-v, 1.0) for v in values]
+    grouped_self = group_sample(records, records, 8, seed=5, groups=60)
+    grouped_anti = group_sample(records, records_anti, 8, seed=5, groups=60)
     rho_self = spearman(
-        [a for a, _ in grouped_self.groups], [b for _, b in grouped_self.groups]
+        [a for a, _ in grouped_self], [b for _, b in grouped_self]
     )
     rho_anti = spearman(
-        [a for a, _ in grouped_anti.groups], [b for _, b in grouped_anti.groups]
+        [a for a, _ in grouped_anti], [b for _, b in grouped_anti]
     )
 
     from structiou.cli import main

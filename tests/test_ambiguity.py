@@ -5,11 +5,9 @@ import pytest
 
 from structiou.ambiguity import (
     ambiguity_report,
-    default_gt_index,
     enumerate_plausible,
     random_binary_tree,
     strip_single_word_phrases,
-    template_words,
 )
 from structiou.errors import UsageError
 from structiou.metric import struct_iou_sentence
@@ -43,11 +41,6 @@ GOLDEN_BINARY_SHA256 = {
 }
 
 
-def test_template_words():
-    assert template_words(1) == ["N", "P", "N"]
-    assert template_words(3) == ["N", "P", "N", "P", "N", "P", "N"]
-
-
 class TestEnumeratePlausible:
     def test_counts_follow_catalan(self):
         for n in range(1, 7):
@@ -72,7 +65,7 @@ class TestEnumeratePlausible:
             for tree in enumerate_plausible(n):
                 assert validate(tree) == []
                 words = [l.word for l in leaves(tree.root)]
-                assert words == template_words(n)
+                assert words == ["N"] + ["P", "N"] * n
 
     @pytest.mark.parametrize("n", list(GOLDEN_PLAUSIBLE_SHA256))
     def test_golden(self, n, tree_digest):
@@ -174,8 +167,8 @@ class TestReport:
             assert rep.struct_iou_plausible_lowest >= rep.parseval_plausible_lowest
 
     def test_default_gt_index(self):
-        assert default_gt_index(2) == 0
-        assert default_gt_index(8) == 150
+        assert ambiguity_report(2, samples=1, seed=0).gt_index == 0
+        assert ambiguity_report(8, samples=1, seed=0).gt_index == 150
 
     def test_gt_index_override(self):
         a = ambiguity_report(3, samples=10, seed=1, gt_index=0)

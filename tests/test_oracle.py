@@ -182,7 +182,7 @@ def test_solver_agrees_with_oracle():
         t = random_timed_tree(rng, 8, allow_gaps=False)
         pairs += [(t, copy(t, seed)) for copy in (jittered, inserted, deleted)]
     # deep small pairs: chains and zig-zags against jittered copies
-    for words in range(3, 7):
+    for words in range(3, 8):
         for t in (chain(words, right=True), chain(words, right=False), zigzag(words)):
             pairs += [(t, jittered(t, seed)) for seed in range(4)]
     for trial, (t1, t2) in enumerate(pairs):

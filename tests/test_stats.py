@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from structiou.errors import UsageError
-from structiou.stats import GroupRecord, _average_ranks, group_sample, spearman
+from structiou.stats import _average_ranks, group_sample, spearman
 
 
 # a small pool makes ties, -0.0 among them, common
@@ -65,38 +65,38 @@ class TestSpearman:
 
 class TestGroupSample:
     def records(self, k):
-        return [GroupRecord(i * 1.0, 1.0, i * 2.0, 2.0) for i in range(1, k + 1)]
+        """Each metric's (numerator, denominator) tuples for k sentences."""
+        a = [(i * 1.0, 1.0) for i in range(1, k + 1)]
+        b = [(i * 2.0, 2.0) for i in range(1, k + 1)]
+        return a, b
 
     def test_full_group_is_corpus_aggregate(self):
-        recs = self.records(6)
-        out = group_sample(recs, group_size=6, seed=0, groups=1)
-        a, b = out.groups[0]
+        out = group_sample(*self.records(6), group_size=6, seed=0, groups=1)
+        a, b = out[0]
         assert a == pytest.approx(sum(range(1, 7)) / 6)
         assert b == pytest.approx(2 * sum(range(1, 7)) / 12)
 
     def test_seed_reproducible(self):
         recs = self.records(20)
-        one = group_sample(recs, 5, seed=9, groups=8)
-        two = group_sample(recs, 5, seed=9, groups=8)
-        assert one.groups == two.groups
+        one = group_sample(*recs, 5, seed=9, groups=8)
+        two = group_sample(*recs, 5, seed=9, groups=8)
+        assert one == two
 
     def test_within_group_without_replacement(self):
-        recs = [GroupRecord(1.0, 1.0, 1.0, 1.0) for _ in range(4)] + [
-            GroupRecord(9.0, 1.0, 9.0, 1.0)
-        ]
-        out = group_sample(recs, group_size=5, seed=3, groups=10)
+        recs = [(1.0, 1.0)] * 4 + [(9.0, 1.0)]
+        out = group_sample(recs, recs, group_size=5, seed=3, groups=10)
         # with all 5 records in every group, the aggregate is constant
-        assert all(a == out.groups[0][0] for a, _ in out.groups)
-
-    def test_degenerate_flag(self):
-        recs = [GroupRecord(1.0, 1.0, 2.0, 1.0) for _ in range(6)]
-        out = group_sample(recs, 3, seed=1, groups=4)
-        assert out.degenerate()
+        assert all(a == out[0][0] for a, _ in out)
 
     def test_errors(self):
         with pytest.raises(UsageError):
-            group_sample([], 1, 0, 1)
+            group_sample([], [], 1, 0, 1)
         with pytest.raises(UsageError):
-            group_sample(self.records(3), 4, 0, 1)
+            group_sample(*self.records(3), 4, 0, 1)
         with pytest.raises(UsageError):
-            group_sample(self.records(3), 0, 0, 1)
+            group_sample(*self.records(3), 0, 0, 1)
+
+    def test_unequal_lengths_refused(self):
+        a, b = self.records(4)
+        with pytest.raises(UsageError, match="length mismatch: 4 vs 3"):
+            group_sample(a, b[:3], 2, 0, 1)

@@ -504,6 +504,12 @@ class TestValidate:
             "hull mismatch on A: (0.0, 1.0) vs its leaves' span (0.0, 2.0)"
         ]
 
+    def test_degenerate_interval(self):
+        bad = ParseTree._of(
+            ("A", "B", "S"), [0, 1, 0], [0.0, 1.0], [1.0, 1.0], ("a", "b")
+        )
+        assert validate(bad) == ["degenerate interval on B"]
+
     def test_random_trees_valid(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
